@@ -1,9 +1,12 @@
 // Library-performance microbenchmarks (google-benchmark): the numerical
-// kernels behind the reproduction — banded LU, compact-model evaluation,
-// VTC solves, FO1 transients, and a full TCAD Gummel bias point.
+// kernels behind the reproduction — banded LU and Cholesky, compact-model
+// evaluation, VTC solves, FO1 transients, and a full TCAD Gummel bias
+// point.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <cstdlib>
@@ -29,25 +32,80 @@ compact::DeviceSpec spec_90() {
                                        1.52e18, 3.63e18, 1.2, 1.0);
 }
 
-void BM_BandedLuFactorSolve(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t bw = 41;
+// Symmetric positive-definite band systems (the Poisson Newton
+// operator's class): random symmetric couplings, diagonally dominant,
+// in full band storage for BandedLu and lower band storage for
+// BandedCholesky. Each timed iteration copies the unfactored matrix,
+// which stands in for the per-solve refill both TCAD call sites pay.
+struct SpdBench {
+  linalg::BandedMatrix full;
+  linalg::BandedCholesky lower;
+  std::vector<double> b;
+};
+
+SpdBench make_bench_spd(std::size_t n, std::size_t bw) {
   std::mt19937 rng(7);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  linalg::BandedMatrix a(n, bw, bw);
+  SpdBench out{linalg::BandedMatrix(n, bw, bw), linalg::BandedCholesky(n, bw),
+               std::vector<double>(n, 1.0)};
+  std::vector<double> row_sum(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = (i > bw ? i - bw : 0); j <= std::min(n - 1, i + bw);
-         ++j) {
-      a.at(i, j) = (i == j) ? 8.0 + dist(rng) : dist(rng);
+    for (std::size_t j = (i > bw ? i - bw : 0); j < i; ++j) {
+      const double v = dist(rng);
+      out.full.at(i, j) = out.full.at(j, i) = out.lower.at(i, j) = v;
+      row_sum[i] += std::abs(v);
+      row_sum[j] += std::abs(v);
     }
   }
-  std::vector<double> b(n, 1.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.full.at(i, i) = out.lower.at(i, i) = row_sum[i] + 1.0 + dist(rng);
+  }
+  return out;
+}
+
+void BM_BandedLuFactorSolve(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const SpdBench sys = make_bench_spd(n, 41);
   for (auto _ : state) {
+    linalg::BandedMatrix a = sys.full;
     linalg::BandedLu lu(a);
-    benchmark::DoNotOptimize(lu.solve(b));
+    benchmark::DoNotOptimize(lu.solve(sys.b));
   }
 }
 BENCHMARK(BM_BandedLuFactorSolve)->Arg(400)->Arg(1000)->Arg(2000);
+
+// The Cholesky's reference anchor is the pivoting LU on the same matrix:
+// a disagreement beyond 1e-10 (normwise relative) aborts before timing.
+void BM_BandedCholeskyFactorSolve(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const SpdBench sys = make_bench_spd(n, 41);
+  {
+    linalg::BandedMatrix a = sys.full;
+    const std::vector<double> x_lu = linalg::BandedLu(a).solve(sys.b);
+    linalg::BandedCholesky chol = sys.lower;
+    std::vector<double> x = sys.b;
+    chol.factor();
+    chol.solve(x);
+    double diff = 0.0, scale = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      diff = std::max(diff, std::abs(x[i] - x_lu[i]));
+      scale = std::max(scale, std::abs(x_lu[i]));
+    }
+    if (!(diff <= 1e-10 * scale)) {
+      std::fprintf(stderr, "CHOLESKY MISMATCH: |dx| %.3g vs |x| %.3g\n", diff,
+                   scale);
+      std::abort();
+    }
+  }
+  for (auto _ : state) {
+    linalg::BandedCholesky chol = sys.lower;
+    std::vector<double> x = sys.b;
+    chol.factor();
+    chol.solve(x);
+    benchmark::DoNotOptimize(x.data());
+  }
+}
+BENCHMARK(BM_BandedCholeskyFactorSolve)->Arg(400)->Arg(1000)->Arg(2000);
 
 // The blocked forward-elimination in BandedLu is pinned bitwise to the
 // textbook loop nest in ReferenceBandedLu (tier-1: test_linalg
@@ -86,7 +144,8 @@ void BM_BandedLuReferenceSolve(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const linalg::BandedMatrix a = make_bench_banded(n, 41);
   std::vector<double> b(n, 1.0);
-  check_bitwise(linalg::BandedLu(a).solve(b),
+  linalg::BandedMatrix factors = a;  // BandedLu factors in place
+  check_bitwise(linalg::BandedLu(factors).solve(b),
                 linalg::ReferenceBandedLu(a).solve(b), "banded lu");
   for (auto _ : state) {
     linalg::ReferenceBandedLu lu(a);

@@ -27,7 +27,7 @@ BlockBandedMatrix::BlockBandedMatrix(std::size_t n_blocks,
   }
 }
 
-BlockBandedLu::BlockBandedLu(const BlockBandedMatrix& a) : lu_(a.scalar()) {}
+BlockBandedLu::BlockBandedLu(BlockBandedMatrix& a) : lu_(a.scalar()) {}
 
 std::vector<double> BlockBandedLu::solve(const std::vector<double>& b) const {
   return lu_.solve(b);

@@ -62,8 +62,9 @@ class BlockBandedMatrix {
 /// comment for why pivoting is not confined to blocks.
 class BlockBandedLu {
  public:
-  /// Factorizes a copy. Throws std::runtime_error if singular.
-  explicit BlockBandedLu(const BlockBandedMatrix& a);
+  /// Factorizes `a` in place (see BandedLu). Throws std::runtime_error
+  /// if singular.
+  explicit BlockBandedLu(BlockBandedMatrix& a);
 
   /// Solve A x = b; b is in scalar (node-major, component-minor) order.
   std::vector<double> solve(const std::vector<double>& b) const;

@@ -61,6 +61,9 @@ enum class GatePolicy { kGated, kExempt };
   X(kBicgstabIterations, "linalg.bicgstab.iterations", kCounter, kGated)      \
   X(kBicgstabBreakdowns, "linalg.bicgstab.breakdowns", kCounter, kGated)      \
   X(kBicgstabFailures, "linalg.bicgstab.failures", kCounter, kGated)          \
+  /* linalg layer — nominal multiply-adds of the TCAD band factorizations */ \
+  X(kBandFlopsPoisson, "linalg.banded.band_flops.poisson", kCounter, kGated)  \
+  X(kBandFlopsContinuity, "linalg.banded.band_flops.continuity", kCounter, kGated) \
   /* tcad layer — Gummel outer loop and its stages */                         \
   X(kGummelSolves, "tcad.gummel.solves", kCounter, kGated)                    \
   X(kGummelOuterIterations, "tcad.gummel.outer_iterations", kCounter, kGated) \
@@ -243,6 +246,9 @@ inline constexpr const char* kGummelContinuity = "tcad.gummel.continuity";
 inline constexpr const char* kNewtonSolve = "tcad.newton.solve";
 inline constexpr const char* kMeshContCoarse = "tcad.meshcont.coarse_solve";
 inline constexpr const char* kMeshContProlong = "tcad.meshcont.prolong";
+/// Covers both banded direct solves — the continuity LU and the Poisson
+/// Cholesky. The label predates the Cholesky and is kept so trace
+/// ledgers stay comparable across PRs.
 inline constexpr const char* kBandedLuSolve = "linalg.banded_lu.solve";
 inline constexpr const char* kBicgstabSolve = "linalg.bicgstab.solve";
 inline constexpr const char* kCacheLookup = "cache.lookup";

@@ -220,6 +220,8 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
   // (singular pivot from a degenerate potential) is counted and reset so
   // it cannot poison the Gummel state — the caller sees it in the result.
   ContinuityResult result;
+  result.band_flops = linalg::BandedLu::nominal_flops(
+      n_nodes, a.lower_bandwidth(), a.upper_bandwidth());
   const double floor = 1e-20 * ni;
   for (std::size_t idx = 0; idx < n_nodes; ++idx) {
     if (!dev.is_silicon(idx)) {

@@ -6,6 +6,7 @@
 /// lagged so each solve is a single banded linear system).
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -46,6 +47,8 @@ struct ContinuityResult {
   SolveStatus status = SolveStatus::kConverged;
   std::size_t non_finite_nodes = 0;  ///< NaN/Inf densities from the solve
   double max_density = 0.0;          ///< max over silicon nodes [1/m^3]
+  /// Nominal multiply-adds of the solve's LU factorization.
+  std::uint64_t band_flops = 0;
 };
 
 /// Reusable assembly state for solve_continuity, bound to one device.

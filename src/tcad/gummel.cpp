@@ -112,6 +112,9 @@ DriftDiffusionSolver::DriftDiffusionSolver(const DeviceStructure& dev,
     ins_.poisson_newton_iterations =
         &sink->counter(names::kPoissonNewtonIterations);
     ins_.continuity_solves = &sink->counter(names::kContinuitySolves);
+    ins_.poisson_band_flops = &sink->counter(names::kBandFlopsPoisson);
+    ins_.continuity_band_flops =
+        &sink->counter(names::kBandFlopsContinuity);
     ins_.newton_solves = &sink->counter(names::kNewtonSolves);
     ins_.newton_iterations = &sink->counter(names::kNewtonIterations);
     ins_.newton_fallbacks = &sink->counter(names::kNewtonFallbacks);
@@ -592,6 +595,7 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
     }();
     if (ins_.poisson_newton_iterations != nullptr) {
       ins_.poisson_newton_iterations->add(pres.iterations);
+      ins_.poisson_band_flops->add(pres.band_flops);
     }
     // The sample for this outer iteration; fields of stages never
     // reached stay NaN (rendered null by the JSON exporter).
@@ -639,7 +643,10 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
       return std::make_pair(electron, hole);
     }();
     sample.continuity_max_density = std::max(rn.max_density, rp.max_density);
-    if (ins_.continuity_solves != nullptr) ins_.continuity_solves->add(2);
+    if (ins_.continuity_solves != nullptr) {
+      ins_.continuity_solves->add(2);
+      ins_.continuity_band_flops->add(rn.band_flops + rp.band_flops);
+    }
     SolveStatus rn_status = rn.status;
     if (fault_fires(SolveStage::kContinuity, it, biases)) {
       rn_status = SolveStatus::kNonFinite;

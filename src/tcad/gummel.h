@@ -233,6 +233,8 @@ class DriftDiffusionSolver {
     obs::Counter* failed_solves = nullptr;
     obs::Counter* poisson_newton_iterations = nullptr;
     obs::Counter* continuity_solves = nullptr;
+    obs::Counter* poisson_band_flops = nullptr;
+    obs::Counter* continuity_band_flops = nullptr;
     obs::Counter* newton_solves = nullptr;
     obs::Counter* newton_iterations = nullptr;
     obs::Counter* newton_fallbacks = nullptr;

@@ -1,7 +1,6 @@
 #include "tcad/poisson.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -30,61 +29,23 @@ double boltzmann_p(double psi, double phi_p, double ni, double vt) {
   return ni * clamped_exp((phi_p - psi) / vt);
 }
 
-PoissonResult solve_poisson(const DeviceStructure& dev,
-                            const std::map<std::string, double>& biases,
-                            const std::vector<double>& phi_n,
-                            const std::vector<double>& phi_p,
-                            std::vector<double>& psi,
-                            const PoissonOptions& options,
-                            obs::SpanProfiler* profiler) {
+PoissonOperator::PoissonOperator(const DeviceStructure& dev)
+    : ni_(dev.ni()),
+      vt_(dev.vt()),
+      stencil_(dev.mesh().node_count()),
+      dirichlet_(dev.mesh().node_count(), 0) {
   const auto& m = dev.mesh();
-  const std::size_t n_nodes = m.node_count();
-  if (psi.size() != n_nodes || phi_n.size() != n_nodes ||
-      phi_p.size() != n_nodes) {
-    throw std::invalid_argument("solve_poisson: state size mismatch");
-  }
-  const double ni = dev.ni();
-  const double vt = dev.vt();
   const std::size_t nx = m.nx();
-
-  // Pre-resolve Dirichlet values.
-  std::vector<char> dirichlet(n_nodes, 0);
-  std::vector<double> psi_fixed(n_nodes, 0.0);
-  for (std::size_t idx = 0; idx < n_nodes; ++idx) {
-    const std::string& c = m.contact_of(idx);
-    if (c.empty()) continue;
-    const auto it = biases.find(c);
-    if (it == biases.end()) {
-      throw std::invalid_argument("solve_poisson: missing bias for contact " +
-                                  c);
-    }
-    dirichlet[idx] = 1;
-    psi_fixed[idx] = dev.contact_potential(idx, it->second);
-    psi[idx] = psi_fixed[idx];
-  }
-
+  const std::size_t ny = m.ny();
   const auto eps_of_edge = [&](std::size_t a, std::size_t b) {
     const bool ox = !dev.is_silicon(a) || !dev.is_silicon(b);
     return ox ? physics::kEpsSiO2 : physics::kEpsSi;
   };
-
-  // The edge conductances eps*area/dist and the charge prefactor q*box
-  // depend only on the mesh and material map, not on psi — compute them
-  // once instead of once per Newton iteration. Values are formed by the
-  // exact expressions the in-loop assembly used (left-to-right products
-  // unchanged), so the assembled system is bitwise-identical.
-  struct NodeStencil {
-    std::array<std::size_t, 4> nb{};  // west, east, south, north
-    std::array<double, 4> k{};        // edge conductances (0 = no edge)
-    std::array<char, 4> has{};
-    double qbox = 0.0;  // q * box_area, 0 for non-silicon nodes
-    double doping = 0.0;
-  };
-  std::vector<NodeStencil> stencil(n_nodes);
-  for (std::size_t j = 0; j < m.ny(); ++j) {
+  for (std::size_t j = 0; j < ny; ++j) {
     for (std::size_t i = 0; i < nx; ++i) {
       const std::size_t idx = m.index(i, j);
-      NodeStencil& s = stencil[idx];
+      dirichlet_[idx] = dev.is_contact(idx) ? 1 : 0;
+      NodeStencil& s = stencil_[idx];
       const auto set_edge = [&](std::size_t slot, std::size_t nb,
                                 double dist, double area) {
         s.nb[slot] = nb;
@@ -103,7 +64,7 @@ PoissonResult solve_poisson(const DeviceStructure& dev,
         set_edge(2, m.index(i, j - 1), m.y(j) - m.y(j - 1),
                  m.dx_minus(i) + m.dx_plus(i));
       }
-      if (j + 1 < m.ny()) {
+      if (j + 1 < ny) {
         set_edge(3, m.index(i, j + 1), m.y(j + 1) - m.y(j),
                  m.dx_minus(i) + m.dx_plus(i));
       }
@@ -113,53 +74,105 @@ PoissonResult solve_poisson(const DeviceStructure& dev,
       }
     }
   }
+}
 
-  // Assembly workspace hoisted out of the Newton loop: zero + refill is
-  // bitwise-identical to fresh construction and avoids reallocating the
-  // band storage (the largest transient allocation in the solver) every
-  // iteration.
-  linalg::BandedMatrix jac(n_nodes, nx, nx);
-  std::vector<double> rhs(n_nodes, 0.0);
+double PoissonOperator::coupling(std::size_t a, std::size_t b) const {
+  const NodeStencil& s = stencil_.at(a);
+  for (std::size_t e = 0; e < 4; ++e) {
+    if (s.has[e] && s.nb[e] == b) return s.k[e];
+  }
+  return 0.0;
+}
+
+void PoissonOperator::assemble(const std::vector<double>& phi_n,
+                               const std::vector<double>& phi_p,
+                               const std::vector<double>& psi,
+                               linalg::BandedCholesky& op,
+                               std::vector<double>& rhs) const {
+  const std::size_t n = stencil_.size();
+  if (op.size() != n || rhs.size() != n || psi.size() != n ||
+      phi_n.size() != n || phi_p.size() != n) {
+    throw std::invalid_argument("PoissonOperator::assemble: size mismatch");
+  }
+  // factor() leaves L in the storage, so clear it before the refill.
+  op.set_zero();
+  for (std::size_t idx = 0; idx < n; ++idx) {
+    if (dirichlet_[idx]) {
+      op.at(idx, idx) = 1.0;
+      rhs[idx] = 0.0;  // already imposed
+      continue;
+    }
+    const NodeStencil& s = stencil_[idx];
+    double f = 0.0;
+    double diag = 0.0;
+    for (std::size_t e = 0; e < 4; ++e) {
+      if (!s.has[e]) continue;
+      const std::size_t nb = s.nb[e];
+      const double k = s.k[e];
+      f += k * (psi[nb] - psi[idx]);
+      diag += k;
+      // Lower triangle only: the upper coupling is the neighbour's row
+      // entry, bitwise equal by symmetry.
+      if (nb < idx && !dirichlet_[nb]) op.at(idx, nb) = -k;
+    }
+    if (s.qbox != 0.0) {
+      const double nn = boltzmann_n(psi[idx], phi_n[idx], ni_, vt_);
+      const double pp = boltzmann_p(psi[idx], phi_p[idx], ni_, vt_);
+      f += s.qbox * (pp - nn + s.doping);
+      diag += s.qbox * (nn + pp) / vt_;
+    }
+    op.at(idx, idx) = diag;
+    rhs[idx] = f;
+  }
+}
+
+PoissonResult solve_poisson(const DeviceStructure& dev,
+                            const std::map<std::string, double>& biases,
+                            const std::vector<double>& phi_n,
+                            const std::vector<double>& phi_p,
+                            std::vector<double>& psi,
+                            const PoissonOptions& options,
+                            obs::SpanProfiler* profiler) {
+  const auto& m = dev.mesh();
+  const std::size_t n_nodes = m.node_count();
+  if (psi.size() != n_nodes || phi_n.size() != n_nodes ||
+      phi_p.size() != n_nodes) {
+    throw std::invalid_argument("solve_poisson: state size mismatch");
+  }
+
+  // Impose the Dirichlet values; Newton then never moves them.
+  for (std::size_t idx = 0; idx < n_nodes; ++idx) {
+    const std::string& c = m.contact_of(idx);
+    if (c.empty()) continue;
+    const auto it = biases.find(c);
+    if (it == biases.end()) {
+      throw std::invalid_argument("solve_poisson: missing bias for contact " +
+                                  c);
+    }
+    psi[idx] = dev.contact_potential(idx, it->second);
+  }
+
+  const PoissonOperator op(dev);
+  // Band storage and the step vector are hoisted out of the Newton loop;
+  // every iteration overwrites both.
+  linalg::BandedCholesky jac(n_nodes, m.nx());
+  std::vector<double> delta(n_nodes, 0.0);
 
   PoissonResult result;
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    jac.set_zero();
-
-    for (std::size_t idx = 0; idx < n_nodes; ++idx) {
-      if (dirichlet[idx]) {
-        jac.at(idx, idx) = 1.0;
-        rhs[idx] = 0.0;  // already imposed
-        continue;
-      }
-      const NodeStencil& s = stencil[idx];
-      double f = 0.0;
-      double diag = 0.0;
-      for (std::size_t e = 0; e < 4; ++e) {
-        if (!s.has[e]) continue;
-        const double k = s.k[e];
-        f += k * (psi[s.nb[e]] - psi[idx]);
-        diag -= k;
-        jac.at(idx, s.nb[e]) = k;
-      }
-      if (s.qbox != 0.0) {
-        const double nn = boltzmann_n(psi[idx], phi_n[idx], ni, vt);
-        const double pp = boltzmann_p(psi[idx], phi_p[idx], ni, vt);
-        f += s.qbox * (pp - nn + s.doping);
-        diag -= s.qbox * (nn + pp) / vt;
-      }
-      jac.at(idx, idx) = diag;
-      rhs[idx] = -f;
-    }
-
-    const std::vector<double> delta = [&] {
+    op.assemble(phi_n, phi_p, psi, jac, delta);
+    {
       const obs::ScopedSpan lu_span(profiler,
                                     obs::names::spans::kBandedLuSolve);
-      return linalg::BandedLu(jac).solve(rhs);
-    }();
+      jac.factor();
+      jac.solve(delta);
+    }
+    result.band_flops += linalg::BandedCholesky::nominal_flops(
+        n_nodes, jac.bandwidth());
     double max_update = 0.0;
     double max_psi = 0.0;
     for (std::size_t idx = 0; idx < n_nodes; ++idx) {
-      if (dirichlet[idx]) continue;
+      if (op.is_dirichlet(idx)) continue;
       const double d = std::clamp(delta[idx], -options.damping_clamp,
                                   options.damping_clamp);
       psi[idx] += d;
@@ -168,8 +181,8 @@ PoissonResult solve_poisson(const DeviceStructure& dev,
     }
     result.iterations = it + 1;
     result.max_update = max_update;
-    // Guards: a NaN from the factorization (singular pivot) or a
-    // runaway potential means further iteration only manufactures
+    // Guards: a NaN step (from a non-finite residual) or a runaway
+    // potential means further iteration only manufactures
     // garbage — stop now and let the caller restore a good state.
     if (!std::isfinite(max_update) || !std::isfinite(max_psi)) {
       result.status = SolveStatus::kNonFinite;

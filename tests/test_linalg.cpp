@@ -164,7 +164,8 @@ TEST(Banded, LaplacianSolve) {
     if (i + 1 < n) a.at(i, i + 1) = -1.0;
   }
   const std::vector<double> b(n, 1.0);
-  const auto x = sl::BandedLu(a).solve(b);
+  sl::BandedMatrix factors = a;  // BandedLu factors in place
+  const auto x = sl::BandedLu(factors).solve(b);
   // Residual check.
   const auto ax = a.multiply(x);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], 1.0, 1e-9);
@@ -337,7 +338,8 @@ TEST_P(BandedWidths, RoundTrip) {
   }
   std::vector<double> x_true(n);
   for (std::size_t i = 0; i < n; ++i) x_true[i] = dist(rng);
-  const auto x = sl::BandedLu(a).solve(a.multiply(x_true));
+  const auto b = a.multiply(x_true);
+  const auto x = sl::BandedLu(a).solve(b);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
 }
 
@@ -389,7 +391,8 @@ TEST(BandedReference, BlockedEliminationMatchesReferenceBitwise) {
       std::vector<double> b(n);
       std::uniform_real_distribution<double> dist(-1.0, 1.0);
       for (auto& v : b) v = dist(rng);
-      const auto x_fast = sl::BandedLu(a).solve(b);
+      sl::BandedMatrix factors = a;  // BandedLu factors in place
+      const auto x_fast = sl::BandedLu(factors).solve(b);
       const auto x_ref = sl::ReferenceBandedLu(a).solve(b);
       ASSERT_EQ(x_fast.size(), x_ref.size());
       for (std::size_t i = 0; i < n; ++i) {
@@ -436,8 +439,11 @@ TEST(BlockBanded, SolveMatchesScalarBandedSolve) {
   }
   std::vector<double> b(blocked.size());
   for (auto& v : b) v = dist(rng);
-  const auto x_block = sl::BlockBandedLu(blocked).solve(b);
-  const auto x_scalar = sl::BandedLu(blocked.scalar()).solve(b);
+  // Both factorizations work in place, so each gets its own copy.
+  sl::BlockBandedMatrix block_factors = blocked;
+  sl::BandedMatrix scalar_factors = blocked.scalar();
+  const auto x_block = sl::BlockBandedLu(block_factors).solve(b);
+  const auto x_scalar = sl::BandedLu(scalar_factors).solve(b);
   ASSERT_EQ(x_block.size(), x_scalar.size());
   for (std::size_t i = 0; i < x_block.size(); ++i) {
     EXPECT_EQ(x_block[i], x_scalar[i]) << i;
@@ -452,4 +458,137 @@ TEST(BlockBanded, SolveMatchesScalarBandedSolve) {
 TEST(BlockBanded, RejectsOutOfBandBlocks) {
   sl::BlockBandedMatrix a(4, 2, 1);
   EXPECT_FALSE(a.scalar().in_band(0, 2 * 2 + 1));  // block (0,2) corner
+}
+
+// ---- banded Cholesky (Poisson Newton operator) --------------------------------
+
+namespace {
+
+/// A random symmetric positive-definite band system stored twice: in
+/// full band storage for BandedLu and in lower band storage for
+/// BandedCholesky. A = D M D with M symmetric and strictly diagonally
+/// dominant and D spanning 12 decades, so the diagonal of A spans 24.
+struct SpdPair {
+  sl::BandedMatrix full;
+  sl::BandedCholesky lower;
+};
+
+SpdPair random_spd(std::size_t n, std::size_t kd, std::mt19937& gen) {
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::uniform_int_distribution<int> decade(-6, 6);
+  std::vector<double> d(n);
+  for (auto& v : d) v = std::pow(10.0, decade(gen));
+  sl::DenseMatrix m(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = (i > kd ? i - kd : 0); j < i; ++j) {
+      m(i, j) = m(j, i) = dist(gen);
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    double off = 0.0;
+    for (std::size_t j = 0; j < n; ++j) off += i == j ? 0.0 : std::abs(m(i, j));
+    m(i, i) = off + 0.5 + std::abs(dist(gen));
+  }
+  SpdPair out{sl::BandedMatrix(n, kd, kd), sl::BandedCholesky(n, kd)};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = (i > kd ? i - kd : 0); j <= std::min(n - 1, i + kd);
+         ++j) {
+      const double v = d[i] * m(i, j) * d[j];
+      out.full.at(i, j) = v;
+      if (j <= i) out.lower.at(i, j) = v;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(BandedCholesky, MatchesBandedLuOnSpdSystemsSpanning24Decades) {
+  std::mt19937 gen(12);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (const std::size_t kd : {1u, 4u, 13u, 41u}) {
+    for (std::size_t trial = 0; trial < 3; ++trial) {
+      const std::size_t n = 120;
+      SpdPair sys = random_spd(n, kd, gen);
+      std::vector<double> b(n);
+      for (auto& v : b) v = dist(gen);
+      const auto x_lu = sl::BandedLu(sys.full).solve(b);
+      std::vector<double> x = b;
+      sys.lower.factor();
+      sys.lower.solve(x);
+      // Normwise relative: x spans ~24 decades, so its tiny components
+      // carry only the absolute accuracy both backward-stable solvers
+      // share, not a componentwise one.
+      double diff = 0.0, scale = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        diff = std::max(diff, std::abs(x[i] - x_lu[i]));
+        scale = std::max(scale, std::abs(x_lu[i]));
+      }
+      EXPECT_LE(diff, 1e-12 * scale) << "kd=" << kd << " trial=" << trial;
+    }
+  }
+}
+
+TEST(BandedCholesky, ThrowsOnIndefiniteZeroOrNanPivot) {
+  sl::BandedCholesky indefinite(2, 1);
+  indefinite.at(0, 0) = 1.0;
+  indefinite.at(1, 0) = 2.0;  // [[1 2][2 1]]: second pivot is -3
+  indefinite.at(1, 1) = 1.0;
+  EXPECT_THROW(indefinite.factor(), std::runtime_error);
+
+  sl::BandedCholesky zero(3, 1);
+  zero.at(0, 0) = 1.0;
+  zero.at(2, 2) = 1.0;  // (1, 1) stays 0
+  EXPECT_THROW(zero.factor(), std::runtime_error);
+
+  sl::BandedCholesky nan(2, 1);
+  nan.at(0, 0) = std::nan("");
+  nan.at(1, 1) = 1.0;
+  EXPECT_THROW(nan.factor(), std::runtime_error);
+
+  sl::BandedCholesky inf(2, 1);
+  inf.at(0, 0) = 1.0;
+  inf.at(1, 1) = HUGE_VAL;
+  EXPECT_THROW(inf.factor(), std::runtime_error);
+}
+
+TEST(BandedCholesky, RejectsEntriesOutsideLowerBand) {
+  sl::BandedCholesky a(5, 2);
+  EXPECT_NO_THROW(a.at(4, 2));
+  EXPECT_THROW(a.at(2, 3), std::out_of_range);  // upper triangle
+  EXPECT_THROW(a.at(4, 1), std::out_of_range);  // beyond kd
+  EXPECT_THROW(a.at(5, 5), std::out_of_range);  // beyond n
+}
+
+TEST(BandedCholesky, RefactorAfterRefillIsBitwise) {
+  // The Poisson Newton loop reuses one storage: zero, refill, factor,
+  // solve. A refill of the same values must reproduce the first solve
+  // bit for bit — nothing of the previous factor may leak through.
+  std::mt19937 gen(5);
+  const std::size_t n = 80, kd = 9;
+  const SpdPair sys = random_spd(n, kd, gen);
+  std::vector<double> b(n);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (auto& v : b) v = dist(gen);
+
+  sl::BandedCholesky work = sys.lower;
+  work.factor();
+  std::vector<double> first = b;
+  work.solve(first);
+
+  work.set_zero();
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t r = c; r <= std::min(n - 1, c + kd); ++r) {
+      work.at(r, c) = sys.lower.at(r, c);
+    }
+  }
+  work.factor();
+  std::vector<double> second = b;
+  work.solve(second);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(first[i], second[i]) << i;
+}
+
+TEST(BandedCholesky, NominalFlopsCountTheBandUpdate) {
+  EXPECT_EQ(sl::BandedCholesky::nominal_flops(100, 10), 100u * 55u);
+  EXPECT_EQ(sl::BandedLu::nominal_flops(100, 10, 10), 100u * 10u * 20u);
 }

@@ -7,9 +7,12 @@
 #include <string>
 #include <vector>
 
+#include "cards/technology_card.h"
 #include "compact/device_spec.h"
 #include "compact/mosfet.h"
+#include "core/scaling_study.h"
 #include "exec/run_context.h"
+#include "linalg/banded.h"
 #include "mesh/mesh2d.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -18,6 +21,7 @@
 #include "tcad/extract.h"
 #include "tcad/mesh_continuation.h"
 #include "tcad/newton_dd.h"
+#include "tcad/poisson.h"
 
 namespace se = subscale::exec;
 namespace sm = subscale::mesh;
@@ -691,4 +695,70 @@ TEST(NewtonDd, InjectedNewtonFaultFallsBackToGummel) {
   EXPECT_EQ(dev.solver().pending_faults(), 0);  // the fault did fire
   // The fallback answer is still the shared fixed point.
   EXPECT_NEAR(id, reference_id(), 1e-3 * std::abs(reference_id()));
+}
+
+// ---- Poisson Newton operator -----------------------------------------------
+
+TEST(PoissonOperator, SymmetricPositiveDefiniteOnEveryBulkCardNode) {
+  // solve_poisson factors -J with a banded Cholesky, which needs -J to be
+  // symmetric positive definite. Pin both halves on the real devices:
+  // every interior edge coupling is bitwise symmetric and is what the
+  // assembled lower band holds, and the factorization succeeds, for the
+  // super- and sub-V_th designs of every node — at equilibrium and at
+  // (V_gs, V_ds) = (V_dd, V_dd) with the quasi-Fermi levels still at
+  // equilibrium (the first Poisson step of a bias jump).
+  std::size_t devices = 0;
+  for (const std::string& id : subscale::cards::builtin_card_ids()) {
+    subscale::core::StudyOptions options;
+    options.card = subscale::cards::resolve_card(id);
+    if (options.card.env.backend != sc::BackendKind::kBulkMosfet) continue;
+    const subscale::core::ScalingStudy study(sc::paper_calibration(),
+                                             options);
+    for (std::size_t k = 0; k < 2 * study.node_count(); ++k) {
+      // Both scaling strategies' designs of every node.
+      const std::size_t node = k / 2;
+      const sc::DeviceSpec& spec =
+          k % 2 == 0 ? study.super_devices()[node].spec
+                     : study.sub_devices()[node].device.spec;
+      const st::DeviceStructure dev = st::make_device_structure(spec);
+      const auto& m = dev.mesh();
+      const std::size_t n = m.node_count();
+      const st::PoissonOperator op(dev);
+      const std::vector<double> phi(n, 0.0);
+      std::vector<double> psi(n, 0.0);
+      ++devices;
+      for (const double v : {0.0, study.node(node).vdd}) {
+        const std::string where = id + " device " + std::to_string(k) +
+                                  " V=" + std::to_string(v);
+        const std::map<std::string, double> biases = {
+            {"source", 0.0}, {"bulk", 0.0}, {"gate", v}, {"drain", v}};
+        const st::PoissonResult res =
+            st::solve_poisson(dev, biases, phi, phi, psi);
+        EXPECT_TRUE(res.converged) << where;
+
+        subscale::linalg::BandedCholesky jac(n, m.nx());
+        std::vector<double> rhs(n, 0.0);
+        op.assemble(phi, phi, psi, jac, rhs);
+        std::size_t asymmetric = 0, misplaced = 0;
+        for (std::size_t a = 0; a < n; ++a) {
+          if (op.is_dirichlet(a)) continue;
+          const std::size_t i = m.i_of(a), j = m.j_of(a);
+          // West and south neighbours: the lower-triangle partners.
+          for (const bool west : {true, false}) {
+            if (west ? i == 0 : j == 0) continue;
+            const std::size_t b = west ? a - 1 : a - m.nx();
+            if (op.is_dirichlet(b)) continue;
+            const double k_ab = op.coupling(a, b);
+            const double k_ba = op.coupling(b, a);
+            if (!(k_ab > 0.0) || k_ab != k_ba) ++asymmetric;
+            if (jac.at(a, b) != -k_ab) ++misplaced;
+          }
+        }
+        EXPECT_EQ(asymmetric, 0u) << where;
+        EXPECT_EQ(misplaced, 0u) << where;
+        EXPECT_NO_THROW(jac.factor()) << where;
+      }
+    }
+  }
+  EXPECT_GE(devices, 28u);  // 2 x (4 + 6 + 4) nodes on the bulk cards
 }

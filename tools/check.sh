@@ -125,11 +125,16 @@ if [[ -z "$sanitize" ]]; then
   # a second time at the perf-history level (obs_trend --metric-min on
   # the recorded headline number) plus a generous absolute wall ceiling
   # on the accelerated cold solve, so a pathological slowdown fails
-  # even on a run where the ratio happens to hold. Then the gate is
-  # proven live by demanding an impossible floor trips it.
+  # even on a run where the ratio happens to hold. The deterministic
+  # work budget caps the nominal Poisson factorization flops (7.9e9 on
+  # the Cholesky path; the pivoting LU it replaced costs about 4x that),
+  # so a reverted kernel or a Newton-iteration blow-up fails on any
+  # hardware. Then the gate is proven live by demanding an impossible
+  # floor trips it.
   "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
       --bench tcad_validation --metric-min cold_speedup=3.0 \
-      --metric-max cold_solve_ms_accel=30000
+      --metric-max cold_solve_ms_accel=30000 \
+      --metric-max linalg.banded.band_flops.poisson=1e10
   if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
       --bench tcad_validation --metric-min cold_speedup=1000000 \
       > /dev/null; then
