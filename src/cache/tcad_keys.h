@@ -36,7 +36,10 @@ namespace subscale::cache {
 /// a provenance trailer; although all strategies converge to the same
 /// physics within tolerance, cached states are bitwise replays and the
 /// bitwise result is strategy-dependent.
-inline constexpr std::uint64_t kTcadKeySchema = 3;
+/// v4: the coupled-Newton strategy is gone, so the key stops hashing
+/// the strategy and the Newton knobs; the state trailer records only
+/// the mesh-continuation levels.
+inline constexpr std::uint64_t kTcadKeySchema = 4;
 
 inline void hash_append(KeyHasher& h, const doping::MosfetGeometry& g) {
   h.tag("geom")
@@ -101,15 +104,9 @@ inline void hash_append(KeyHasher& h, const tcad::GummelOptions& o) {
       .f64(o.continuity.tau_srh)
       .boolean(o.continuity.velocity_saturation)
       .boolean(o.continuity.slotboom);
-  h.tag("strategy")
-      .u64(static_cast<std::uint64_t>(o.strategy))
+  h.tag("accel")
       .u64(o.mesh_continuation_levels)
       .f64(o.density_tolerance);
-  h.tag("newton")
-      .u64(o.newton.max_iterations)
-      .f64(o.newton.update_tolerance)
-      .f64(o.newton.divergence_threshold)
-      .u64(o.newton.max_line_search);
   // GummelOptions::fault intentionally absent — see the file comment.
 }
 

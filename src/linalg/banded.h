@@ -6,7 +6,7 @@
 /// the faster-varying direction; a banded direct solve is both fast
 /// (O(n*bw^2)) and far more robust than iterative methods. Two kernels:
 ///   * BandedLu — row equilibration + partial pivoting, for the strongly
-///     nonsymmetric continuity and coupled drift–diffusion Jacobians;
+///     nonsymmetric continuity matrices;
 ///   * BandedCholesky — for the symmetric positive-definite Poisson
 ///     Newton operator (box-method Laplacian plus a positive charge
 ///     diagonal): half the storage, no pivot search, about a quarter of

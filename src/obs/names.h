@@ -9,8 +9,7 @@
 ///     BENCH_<name>.json carries the full key set (zeros included) —
 ///     that is what keeps the bench trajectory comparable across PRs,
 ///   * `kStandardSchema` + `regression_gated()`, the single gating
-///     policy tools/obs_diff (pairwise) and tools/obs_trend (rolling
-///     baseline) apply to flat record keys,
+///     policy tools/obs_trend applies to flat record keys,
 ///   * tools/bench_schema.sh, which awk-extracts the rows textually to
 ///     build its whitelist — keep each X(...) row on one line.
 /// Adding or renaming a metric therefore means editing exactly one row.
@@ -56,11 +55,6 @@ enum class GatePolicy { kGated, kExempt };
   X(kPoolTasksRun, "exec.pool.tasks_run", kCounter, kExempt)                  \
   X(kPoolQueueDepthMax, "exec.pool.queue_depth_max", kGauge, kExempt)         \
   X(kPoolUtilizationPct, "exec.pool.utilization_pct", kGauge, kExempt)        \
-  /* linalg layer */                                                          \
-  X(kBicgstabSolves, "linalg.bicgstab.solves", kCounter, kGated)              \
-  X(kBicgstabIterations, "linalg.bicgstab.iterations", kCounter, kGated)      \
-  X(kBicgstabBreakdowns, "linalg.bicgstab.breakdowns", kCounter, kGated)      \
-  X(kBicgstabFailures, "linalg.bicgstab.failures", kCounter, kGated)          \
   /* linalg layer — nominal multiply-adds of the TCAD band factorizations */ \
   X(kBandFlopsPoisson, "linalg.banded.band_flops.poisson", kCounter, kGated)  \
   X(kBandFlopsContinuity, "linalg.banded.band_flops.continuity", kCounter, kGated) \
@@ -78,10 +72,7 @@ enum class GatePolicy { kGated, kExempt };
   X(kGummelIterationsPerSolve, "tcad.gummel.iterations_per_solve", kIterationHistogram, kGated) \
   X(kPoissonNewtonIterations, "tcad.poisson.newton_iterations", kCounter, kGated) \
   X(kContinuitySolves, "tcad.continuity.solves", kCounter, kGated)            \
-  /* tcad layer — coupled Newton solver and mesh continuation */              \
-  X(kNewtonSolves, "tcad.newton.solves", kCounter, kGated)                    \
-  X(kNewtonIterations, "tcad.newton.iterations", kCounter, kGated)            \
-  X(kNewtonFallbacks, "tcad.newton.fallbacks", kCounter, kGated)              \
+  /* tcad layer — mesh continuation */                                        \
   X(kMeshContLevels, "tcad.meshcont.levels", kCounter, kGated)                \
   X(kMeshContProlongations, "tcad.meshcont.prolongations", kCounter, kGated)  \
   X(kMeshContFallbacks, "tcad.meshcont.fallbacks", kCounter, kGated)          \
@@ -133,7 +124,7 @@ enum class GatePolicy { kGated, kExempt };
 SUBSCALE_OBS_SCHEMA(SUBSCALE_OBS_DECLARE_NAME)
 #undef SUBSCALE_OBS_DECLARE_NAME
 
-/// One schema row, queryable at runtime (obs_diff/obs_trend gating,
+/// One schema row, queryable at runtime (obs_trend gating,
 /// bench whitelists, the perfdb rollup layer).
 struct MetricDef {
   const char* name;
@@ -243,14 +234,12 @@ inline constexpr const char* kGummelBiasRamp = "tcad.gummel.bias_ramp";
 inline constexpr const char* kGummelSolve = "tcad.gummel.solve";
 inline constexpr const char* kGummelPoisson = "tcad.gummel.poisson";
 inline constexpr const char* kGummelContinuity = "tcad.gummel.continuity";
-inline constexpr const char* kNewtonSolve = "tcad.newton.solve";
 inline constexpr const char* kMeshContCoarse = "tcad.meshcont.coarse_solve";
 inline constexpr const char* kMeshContProlong = "tcad.meshcont.prolong";
 /// Covers both banded direct solves — the continuity LU and the Poisson
 /// Cholesky. The label predates the Cholesky and is kept so trace
 /// ledgers stay comparable across PRs.
 inline constexpr const char* kBandedLuSolve = "linalg.banded_lu.solve";
-inline constexpr const char* kBicgstabSolve = "linalg.bicgstab.solve";
 inline constexpr const char* kCacheLookup = "cache.lookup";
 inline constexpr const char* kCachePublish = "cache.publish";
 inline constexpr const char* kOrchUnit = "orch.unit";

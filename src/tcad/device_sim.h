@@ -39,7 +39,6 @@
 /// replaying cached results would mask the recovery paths faults exist
 /// to exercise.
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -164,7 +163,6 @@ class TcadDevice {
   double sign_ = 1.0;
   cache::SolveCache* cache_ = nullptr;
   cache::HashKey device_key_{};
-  std::uint64_t strategy_stamp_ = 0;
 };
 
 }  // namespace subscale::tcad

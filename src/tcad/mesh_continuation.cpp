@@ -102,9 +102,6 @@ MeshContinuation::MeshContinuation(const compact::DeviceSpec& spec,
 
   GummelOptions coarse = options;
   coarse.mesh_continuation_levels = 0;
-  // Coarse solves exist only to manufacture guesses — plain Gummel is
-  // robust and, at 1/16th the nodes, already nearly free.
-  coarse.strategy = SolverStrategy::kGummel;
   // A guess does not need the fine deck's convergence depth: the fine
   // solve re-converges to ITS OWN fixed point under ITS OWN tolerances
   // regardless of seed quality (the equivalence tier pins that), so the

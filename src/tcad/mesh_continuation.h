@@ -4,7 +4,7 @@
 /// Coarse-to-fine mesh continuation for cold drift–diffusion solves.
 /// The expensive part of a cold solve is the bias-continuation ramp on
 /// the FINE mesh: a dozen-plus continuation points, each a full Gummel
-/// (or Newton) solve against an O(nx^2 * n) banded factorization. A
+/// solve against an O(nx^2 * n) banded factorization. A
 /// mesh 4x coarser in each direction factors ~256x cheaper, so ramping
 /// on a cascade of coarse replicas and prolonging the result down as a
 /// fine-mesh initial guess converts the fine ramp into (ideally) one

@@ -925,24 +925,18 @@ TEST(StaleTempSweep, TornTempIsInvisibleSweptAndCounted) {
   EXPECT_NE(cache.lookup(key, sca::PayloadKind::kSweep), nullptr);
 }
 
-// ---- solver-strategy key discrimination --------------------------------------
+// ---- accelerator key discrimination -----------------------------------------
 
 TEST(CacheTcadKeys, StrategyAndAcceleratorKnobsPerturbTheKey) {
   // A cached state is only replayable under the exact solver physics
   // that produced it: every cold-solve accelerator knob must change
-  // the device key, or a Newton/mesh-continuation record could answer
-  // a Gummel query.
+  // the device key, or a mesh-continuation record could answer a plain
+  // Gummel query.
   const sc::DeviceSpec spec = nfet_90();
   const st::MeshOptions mesh = coarse_mesh();
   const sca::HashKey base = sca::device_solve_key(spec, mesh, {});
 
   st::GummelOptions g;
-  g.strategy = st::SolverStrategy::kNewton;
-  EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
-  g = st::GummelOptions{};
-  g.strategy = st::SolverStrategy::kHybrid;
-  EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
-  g = st::GummelOptions{};
   g.mesh_continuation_levels = 2;
   EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
   g = st::GummelOptions{};
@@ -951,65 +945,47 @@ TEST(CacheTcadKeys, StrategyAndAcceleratorKnobsPerturbTheKey) {
   g = st::GummelOptions{};
   g.continuity.slotboom = true;
   EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
-  g = st::GummelOptions{};
-  g.newton.max_iterations += 5;
-  EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
-  g = st::GummelOptions{};
-  g.newton.update_tolerance *= 0.1;
-  EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
-
-  // ...and the three strategies are pairwise distinct.
-  st::GummelOptions gn, gh;
-  gn.strategy = st::SolverStrategy::kNewton;
-  gh.strategy = st::SolverStrategy::kHybrid;
-  EXPECT_NE(sca::device_solve_key(spec, mesh, gn),
-            sca::device_solve_key(spec, mesh, gh));
 }
 
 TEST(SolveCache, StateRecordsCarryTheProducingStrategyStamp) {
-  // Equilibrium is solved by plain Gummel under EVERY strategy (the
-  // coupled solver only accelerates bias points), so a Gummel device
-  // and a Newton device publish byte-identical psi/n/p equilibrium
-  // states — distinguishable only by the trailing provenance stamp
-  // (strategy | levels << 8). The records must live under different
-  // keys AND the stamps must disagree, so provenance survives even a
-  // hypothetical key collision.
+  // A plain Gummel device and a mesh-continuation device publish their
+  // equilibrium states under different keys, each stamped with the
+  // trailing provenance u64: the mesh-continuation levels of the solver
+  // that produced it. So provenance survives even a hypothetical key
+  // collision.
   sca::SolveCache cache;  // memory-only
   se::RunContext ctx;
   ctx.cache = &cache;
 
   st::GummelOptions gummel;
-  st::GummelOptions newton;
-  newton.strategy = st::SolverStrategy::kNewton;
+  st::GummelOptions meshcont;
+  meshcont.mesh_continuation_levels = 2;
   st::TcadDevice dev_g(nfet_90(), coarse_mesh(), gummel, ctx);
-  st::TcadDevice dev_n(nfet_90(), coarse_mesh(), newton, ctx);
+  st::TcadDevice dev_m(nfet_90(), coarse_mesh(), meshcont, ctx);
 
   const sca::HashKey key_g = sca::state_key(
       sca::device_solve_key(nfet_90(), coarse_mesh(), gummel), 0.0, 0.0,
       0.0, 0.0);
-  const sca::HashKey key_n = sca::state_key(
-      sca::device_solve_key(nfet_90(), coarse_mesh(), newton), 0.0, 0.0,
+  const sca::HashKey key_m = sca::state_key(
+      sca::device_solve_key(nfet_90(), coarse_mesh(), meshcont), 0.0, 0.0,
       0.0, 0.0);
-  ASSERT_NE(key_g, key_n);
+  ASSERT_NE(key_g, key_m);
 
   const auto rec_g = cache.lookup(key_g, sca::PayloadKind::kState);
-  const auto rec_n = cache.lookup(key_n, sca::PayloadKind::kState);
+  const auto rec_m = cache.lookup(key_m, sca::PayloadKind::kState);
   ASSERT_NE(rec_g, nullptr);
-  ASSERT_NE(rec_n, nullptr);
+  ASSERT_NE(rec_m, nullptr);
   const auto& bg = rec_g->bytes;
-  const auto& bn = rec_n->bytes;
-  ASSERT_EQ(bg.size(), bn.size());
+  const auto& bm = rec_m->bytes;
+  // Same mesh, so the same payload layout...
+  ASSERT_EQ(bg.size(), bm.size());
   ASSERT_GE(bg.size(), 8u);
-  // Identical physics payload...
-  EXPECT_TRUE(std::equal(bg.begin(), bg.end() - 8, bn.begin()));
-  // ...different provenance trailer.
-  EXPECT_FALSE(std::equal(bg.end() - 8, bg.end(), bn.end() - 8));
 
-  // The stamp encodes exactly (strategy | levels << 8), serialized the
-  // same way every other u64 in the record is.
-  sca::ByteWriter wg, wn;
-  wg.u64(static_cast<std::uint64_t>(st::SolverStrategy::kGummel));
-  wn.u64(static_cast<std::uint64_t>(st::SolverStrategy::kNewton));
+  // ...and a stamp that is exactly the levels, serialized the same way
+  // every other u64 in the record is.
+  sca::ByteWriter wg, wm;
+  wg.u64(0);
+  wm.u64(2);
   EXPECT_TRUE(std::equal(bg.end() - 8, bg.end(), wg.take().begin()));
-  EXPECT_TRUE(std::equal(bn.end() - 8, bn.end(), wn.take().begin()));
+  EXPECT_TRUE(std::equal(bm.end() - 8, bm.end(), wm.take().begin()));
 }

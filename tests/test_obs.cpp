@@ -14,7 +14,7 @@
 #include "core/scaling_study.h"
 #include "exec/parallel.h"
 #include "exec/run_context.h"
-#include "linalg/bicgstab.h"
+#include "linalg/banded.h"
 #include "obs/convergence.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -292,30 +292,6 @@ TEST(RunContext, SerialHelper) {
 
 // ---- layer instrumentation ------------------------------------------------
 
-TEST(ObsLinalg, BicgstabPublishesCounters) {
-  DefaultRegistryGuard guard;
-  so::set_default_registry(nullptr);
-  // 2x2 diagonally dominant system.
-  sl::SparseBuilder builder(2);
-  builder.add(0, 0, 4.0);
-  builder.add(0, 1, 1.0);
-  builder.add(1, 0, 1.0);
-  builder.add(1, 1, 3.0);
-  const sl::CsrMatrix a(builder);
-  const std::vector<double> b = {1.0, 2.0};
-
-  so::MetricsRegistry reg;
-  sl::BicgstabOptions options;
-  options.metrics = &reg;
-  const auto result = sl::bicgstab(a, b, options);
-  EXPECT_TRUE(result.converged);
-  const auto snap = reg.snapshot();
-  EXPECT_EQ(snap.counter(so::names::kBicgstabSolves), 1u);
-  EXPECT_EQ(snap.counter(so::names::kBicgstabIterations),
-            result.iterations);
-  EXPECT_EQ(snap.counter(so::names::kBicgstabFailures), 0u);
-}
-
 TEST(ObsTcad, SweepPublishesCountersAndTrace) {
   DefaultRegistryGuard guard;
   so::set_default_registry(nullptr);
@@ -338,6 +314,22 @@ TEST(ObsTcad, SweepPublishesCountersAndTrace) {
             snap.counter(so::names::kGummelSolves));
   EXPECT_GT(snap.counter(so::names::kPoissonNewtonIterations), 0u);
   EXPECT_GT(snap.counter(so::names::kContinuitySolves), 0u);
+
+  // The band-flop work counters check.sh budgets: every Poisson Newton
+  // step is one banded Cholesky of the n-node, kd = nx Jacobian, so the
+  // Poisson count is that nominal per-factorization count times the
+  // Newton iterations.
+  const std::uint64_t poisson_flops =
+      snap.counter(so::names::kBandFlopsPoisson);
+  EXPECT_GT(poisson_flops, 0u);
+  EXPECT_GT(snap.counter(so::names::kBandFlopsContinuity), 0u);
+  const auto& mesh = dev.structure().mesh();
+  const std::uint64_t per_factorization =
+      sl::BandedCholesky::nominal_flops(mesh.node_count(), mesh.nx());
+  ASSERT_GT(per_factorization, 0u);
+  EXPECT_EQ(poisson_flops % per_factorization, 0u);
+  EXPECT_EQ(poisson_flops / per_factorization,
+            snap.counter(so::names::kPoissonNewtonIterations));
 
   const auto counts = ring.kind_counts();
   EXPECT_EQ(counts[static_cast<std::size_t>(so::TraceKind::kSweepPoint)],

@@ -41,7 +41,7 @@ fi
 required_keys="
 tcad.gummel.outer_iterations
 tcad.gummel.retries
-linalg.bicgstab.iterations
+linalg.banded.band_flops.continuity
 exec.pool.utilization_pct
 "
 

@@ -48,8 +48,8 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" "${ctest_args[@]}"
 # Plain builds also validate the bench telemetry schema: run one fast
 # bench to produce a fresh record and check it against the whitelist
 # (sanitized trees skip this — bench wall times are meaningless there).
-# The same record then exercises the obs_diff regression gate both
-# ways: a record diffed against itself must pass, and a synthetically
+# The same record then exercises the obs_trend regression gate both
+# ways: a record gated against itself must pass, and a synthetically
 # inflated effort counter must fail.
 if [[ -z "$sanitize" ]]; then
   bench_tmp="$(mktemp -d)"
@@ -69,7 +69,6 @@ if [[ -z "$sanitize" ]]; then
   fi
 
   record="$(ls "$bench_tmp"/BENCH_*.json | head -n 1)"
-  "$build_dir/tools/obs_diff" "$record" "$record"
   # Inflate one deterministic effort counter ~1.5x; the gate must trip.
   awk '{
     if ($0 ~ /"tcad.gummel.outer_iterations":/) {
@@ -79,11 +78,6 @@ if [[ -z "$sanitize" ]]; then
     }
     print
   }' "$record" > "$bench_tmp/perturbed.json"
-  if "$build_dir/tools/obs_diff" "$record" "$bench_tmp/perturbed.json"; then
-    echo "check.sh: obs_diff failed to flag a 50% counter regression" >&2
-    exit 1
-  fi
-  echo "obs_diff: regression gate trips on perturbed record (expected)"
 
   # Perf-history round-trip smoke (src/perfdb + tools/obs_trend). First:
   # the bench run above, with SUBSCALE_PERFDB_DIR set, must already have
@@ -93,25 +87,25 @@ if [[ -z "$sanitize" ]]; then
     echo "check.sh: bench run did not land in the perf-history store" >&2
     exit 1
   fi
-  # Then the trend gate both ways on a synthetic history: three appends
-  # of the same record form a flat baseline the gate must pass, and the
-  # perturbed record (same +50% effort counter as the obs_diff check)
-  # appended as the newest run must trip it.
+  # Then the gate both ways, pairwise: a one-record baseline of the
+  # record, gated against the same record appended as the newest run,
+  # must pass; the perturbed record appended as the newest run and gated
+  # against one prior record (--window 1) must trip.
   trend_db="$bench_tmp/trend-db"
-  for i in 1 2 3; do
-    "$build_dir/tools/obs_trend" append --db "$trend_db" \
-        --ts "$((1000 + i))" --rev "self$i" "$record" > /dev/null
-  done
+  "$build_dir/tools/obs_trend" append --db "$trend_db" --ts 1001 \
+      --rev base "$record" > /dev/null
+  "$build_dir/tools/obs_trend" append --db "$trend_db" --ts 1002 \
+      --rev self "$record" > /dev/null
   "$build_dir/tools/obs_trend" gate --db "$trend_db" \
       --bench tcad_validation
   "$build_dir/tools/obs_trend" append --db "$trend_db" --ts 2000 \
       --rev drift "$bench_tmp/perturbed.json" > /dev/null
   if "$build_dir/tools/obs_trend" gate --db "$trend_db" \
-      --bench tcad_validation; then
-    echo "check.sh: obs_trend failed to flag a 50% drift vs baseline" >&2
+      --bench tcad_validation --window 1; then
+    echo "check.sh: obs_trend failed to flag a 50% counter regression" >&2
     exit 1
   fi
-  echo "obs_trend: trend gate trips on drifted history (expected)"
+  echo "obs_trend: regression gate trips on perturbed record (expected)"
   # Rollup query sanity: show must summarize the gated counter's series.
   if ! "$build_dir/tools/obs_trend" show --db "$trend_db" \
       --bench tcad_validation --metric tcad.gummel.outer_iterations \

@@ -1,9 +1,9 @@
-/// obs_trend: the trend-aware regression gate over a perf-history store
-/// (src/perfdb), superseding pairwise obs_diff semantics for CI. Where
-/// obs_diff compares exactly two BENCH records, obs_trend gates the
-/// NEWEST run of a bench against the rolling baseline — the median of
-/// the last N prior runs — so slow multi-PR drift (3% per PR, never
-/// tripping a 10% pairwise diff) still fires once it accumulates.
+/// obs_trend: the regression gate over a perf-history store
+/// (src/perfdb). It gates the NEWEST run of a bench against the rolling
+/// baseline — the median of the last N prior runs — so slow multi-PR
+/// drift (3% per PR, never tripping a 10% pairwise diff) still fires
+/// once it accumulates. With one prior record it is a plain two-record
+/// comparison.
 ///
 ///   obs_trend append --db DIR [--ts SECONDS] [--rev REV] BENCH.json...
 ///   obs_trend gate   --db DIR --bench NAME [--window N] [--tolerance F]
@@ -20,8 +20,8 @@
 /// `list` names the benches with history.
 ///
 /// Which keys gate comes from the one schema table in src/obs/names.h
-/// (obs::names::regression_gated) — the same policy obs_diff applies
-/// pairwise. Interrupted (signal-flushed) records never enter baselines.
+/// (obs::names::regression_gated). Interrupted (signal-flushed) records
+/// never enter baselines.
 ///
 /// Exit codes: 0 = pass, 1 = regression, 2 = usage/load error.
 
