@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/trace.h"
-
 namespace subscale::obs {
 
 namespace {
@@ -27,6 +25,13 @@ std::uint64_t next_profiler_id() {
 }
 
 }  // namespace
+
+std::uint32_t thread_ordinal() {
+  static std::atomic<std::uint32_t> next{0};
+  thread_local const std::uint32_t ordinal =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return ordinal;
+}
 
 /// One thread's recording state. The owner thread is the only writer:
 /// it fills the next slot, then publishes it with a release store on

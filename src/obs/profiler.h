@@ -4,10 +4,10 @@
 /// Hierarchical span profiler: RAII ScopedSpan handles record nested
 /// begin/end intervals (static label, thread ordinal, nesting depth,
 /// parent link) into per-thread buffers, merged on snapshot. Where the
-/// metrics registry answers "how many" and the trace ring "in what
-/// order", the profiler answers "where the time nests": a slow study
-/// node decomposes into sweep-point -> Gummel-stage -> linear-solve
-/// time without rerunning under an external profiler.
+/// metrics registry answers "how many", the profiler answers "where the
+/// time nests" and on which thread: a slow study node decomposes into
+/// sweep-point -> Gummel-stage -> linear-solve time without rerunning
+/// under an external profiler.
 ///
 /// Cost model (same philosophy as metrics.h):
 ///   * recording is lock-free: each thread owns a fixed-capacity,
@@ -44,6 +44,13 @@
 #include <vector>
 
 namespace subscale::obs {
+
+/// Small dense ordinal of the calling thread (0, 1, 2, ... in first-use
+/// order, process-wide), so concurrent spans attribute to one track per
+/// thread. Stable for a thread's lifetime; NOT stable across runs
+/// (scheduling decides first-use order), so it is diagnostic, never part
+/// of a determinism contract.
+std::uint32_t thread_ordinal();
 
 /// One closed interval, as merged into a snapshot. `seq` numbers spans
 /// per thread in open order (1-based); `parent` is the `seq` of the

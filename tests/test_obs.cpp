@@ -20,7 +20,6 @@
 #include "obs/names.h"
 #include "obs/profiler.h"
 #include "obs/timer.h"
-#include "obs/trace.h"
 #include "tcad/device_sim.h"
 
 namespace so = subscale::obs;
@@ -205,35 +204,6 @@ TEST(Metrics, PreregisterStandardCoversTheSchema) {
   }
 }
 
-// ---- trace ring -----------------------------------------------------------
-
-TEST(Trace, RingWrapsAndCounts) {
-  so::TraceRing ring(4);
-  for (int i = 0; i < 6; ++i) {
-    ring.record(so::TraceKind::kRetry, "stage", static_cast<double>(i));
-  }
-  EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_EQ(ring.total_recorded(), 6u);
-  EXPECT_EQ(ring.dropped(), 2u);
-  const auto events = ring.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest-first: events 2..5 survive.
-  EXPECT_DOUBLE_EQ(events.front().a, 2.0);
-  EXPECT_DOUBLE_EQ(events.back().a, 5.0);
-  // kind_counts tallies retained events only (the ring holds 4).
-  const auto counts = ring.kind_counts();
-  EXPECT_EQ(counts[static_cast<std::size_t>(so::TraceKind::kRetry)], 4u);
-  ring.clear();
-  EXPECT_EQ(ring.snapshot().size(), 0u);
-}
-
-TEST(Trace, KindNamesAreStable) {
-  EXPECT_STREQ(so::to_string(so::TraceKind::kStepHalve), "step_halve");
-  EXPECT_STREQ(so::to_string(so::TraceKind::kRollback), "rollback");
-  EXPECT_STREQ(so::to_string(so::TraceKind::kFaultInjected),
-               "fault_injected");
-}
-
 // ---- timer ----------------------------------------------------------------
 
 TEST(Timer, RecordsIntoHistogram) {
@@ -292,14 +262,12 @@ TEST(RunContext, SerialHelper) {
 
 // ---- layer instrumentation ------------------------------------------------
 
-TEST(ObsTcad, SweepPublishesCountersAndTrace) {
+TEST(ObsTcad, SweepPublishesCounters) {
   DefaultRegistryGuard guard;
   so::set_default_registry(nullptr);
   so::MetricsRegistry reg;
-  so::TraceRing ring(512);
   se::RunContext ctx;
   ctx.metrics = &reg;
-  ctx.trace = &ring;
 
   st::TcadDevice dev(nfet_90(), coarse_mesh(), {}, ctx);
   const st::SweepResult sweep = dev.id_vg(0.25, 0.0, 0.45, 6);
@@ -330,22 +298,14 @@ TEST(ObsTcad, SweepPublishesCountersAndTrace) {
   EXPECT_EQ(poisson_flops % per_factorization, 0u);
   EXPECT_EQ(poisson_flops / per_factorization,
             snap.counter(so::names::kPoissonNewtonIterations));
-
-  const auto counts = ring.kind_counts();
-  EXPECT_EQ(counts[static_cast<std::size_t>(so::TraceKind::kSweepPoint)],
-            6u);
-  EXPECT_GT(counts[static_cast<std::size_t>(so::TraceKind::kStageEnter)],
-            0u);
 }
 
-TEST(ObsTcad, FaultInjectionLeavesTraceEvidence) {
+TEST(ObsTcad, FaultInjectionLeavesCounterEvidence) {
   DefaultRegistryGuard guard;
   so::set_default_registry(nullptr);
   so::MetricsRegistry reg;
-  so::TraceRing ring(512);
   se::RunContext ctx;
   ctx.metrics = &reg;
-  ctx.trace = &ring;
 
   st::GummelOptions faulty;
   faulty.fault.stage = st::SolveStage::kPoisson;
@@ -363,20 +323,11 @@ TEST(ObsTcad, FaultInjectionLeavesTraceEvidence) {
   EXPECT_GT(snap.counter(so::names::kGummelStepHalvings), 0u);
   EXPECT_EQ(snap.counter(so::names::kGummelFailedSolves), 1u);
   EXPECT_EQ(snap.counter(so::names::kSweepPointsFailed), 1u);
-
-  const auto counts = ring.kind_counts();
-  EXPECT_GT(
-      counts[static_cast<std::size_t>(so::TraceKind::kFaultInjected)], 0u);
-  EXPECT_GT(counts[static_cast<std::size_t>(so::TraceKind::kRollback)], 0u);
-  EXPECT_GT(counts[static_cast<std::size_t>(so::TraceKind::kStepHalve)],
-            0u);
-  EXPECT_GT(counts[static_cast<std::size_t>(so::TraceKind::kPointFailed)],
-            0u);
 }
 
 // ---- determinism contract -------------------------------------------------
 // Suite names start with "Parallel" so tools/check.sh's TSAN pass picks
-// them up (-R "^(Exec|TaskPool|Parallel)").
+// them up (its -R regex matches "^Parallel").
 
 TEST(ParallelObs, CounterTotalsBitwiseIdenticalAcrossThreadCounts) {
   constexpr std::size_t kTasks = 64;
@@ -504,7 +455,36 @@ TEST(Profiler, NestedSpansRecordDepthParentAndOrder) {
     EXPECT_LE(snap.spans[0].t0_ns, snap.spans[i].t0_ns);
     EXPECT_GE(snap.spans[0].t1_ns, snap.spans[i].t1_ns);
   }
+  for (const so::ProfileSpan& span : snap.spans) {
+    EXPECT_EQ(span.tid, so::thread_ordinal());
+  }
   EXPECT_GE(snap.wall_ns(), snap.spans[0].t1_ns - snap.spans[0].t0_ns);
+}
+
+TEST(Trace, EventsCarryThreadOrdinal) {
+  so::SpanProfiler prof;
+  { so::ScopedSpan a(&prof, "same-thread"); }
+  { so::ScopedSpan b(&prof, "same-thread"); }
+  std::uint32_t other_tid = 0;
+  std::thread other([&] {
+    so::ScopedSpan c(&prof, "other-thread");
+    other_tid = so::thread_ordinal();
+  });
+  other.join();
+  const so::ProfileSnapshot snap = prof.snapshot();
+  ASSERT_EQ(snap.spans.size(), 3u);
+  std::vector<std::uint32_t> same;
+  for (const so::ProfileSpan& span : snap.spans) {
+    if (std::string(span.label) == "same-thread") {
+      same.push_back(span.tid);
+    } else {
+      EXPECT_EQ(span.tid, other_tid);
+    }
+  }
+  ASSERT_EQ(same.size(), 2u);
+  EXPECT_EQ(same[0], same[1]);
+  EXPECT_EQ(same[0], so::thread_ordinal());
+  EXPECT_NE(other_tid, so::thread_ordinal());
 }
 
 TEST(Profiler, OverflowCountsDroppedInsteadOfGrowing) {
@@ -673,20 +653,10 @@ TEST(ObsTcad, ConvergenceRecorderKeepsFailedSolvePrefix) {
   EXPECT_TRUE(saw_failed);
 }
 
-// ---- trace thread attribution (satellite: kTaskSpan tid fix) --------------
+// ---- task-span thread attribution ---------------------------------------
 
-TEST(Trace, EventsCarryThreadOrdinal) {
-  so::TraceRing ring(8);
-  ring.record(so::TraceKind::kRetry, "same-thread");
-  ring.record(so::TraceKind::kRetry, "same-thread");
-  const auto events = ring.snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].tid, events[1].tid);
-  EXPECT_EQ(events[0].tid, so::thread_ordinal());
-}
-
-TEST(ParallelTrace, TaskSpanEventsAttributeDistinctThreads) {
-  so::TraceRing ring(16);
+TEST(ParallelProfiler, TaskSpansAttributeDistinctThreads) {
+  so::SpanProfiler prof;
   // Two tasks that rendezvous: neither finishes until both have
   // started, so a 2-thread pool must run them on distinct workers.
   std::atomic<int> started{0};
@@ -696,34 +666,15 @@ TEST(ParallelTrace, TaskSpanEventsAttributeDistinctThreads) {
         started.fetch_add(1);
         while (started.load() < 2) std::this_thread::yield();
       },
-      se::ExecPolicy{2}, se::TaskObs{nullptr, &ring}));
-  const auto events = ring.snapshot();
-  ASSERT_EQ(events.size(), 2u);
+      se::ExecPolicy{2}, &prof));
+  const so::ProfileSnapshot snap = prof.snapshot();
+  ASSERT_EQ(snap.spans.size(), 2u);
   std::set<std::uint32_t> tids;
-  std::set<double> indices;
-  for (const auto& ev : events) {
-    EXPECT_EQ(ev.kind, so::TraceKind::kTaskSpan);
-    EXPECT_STREQ(ev.what, "parallel_for");
-    EXPECT_GE(ev.b, 0.0);  // duration ms
-    tids.insert(ev.tid);
-    indices.insert(ev.a);
+  for (const auto& span : snap.spans) {
+    EXPECT_STREQ(span.label, so::names::spans::kTask);
+    tids.insert(span.tid);
   }
   EXPECT_EQ(tids.size(), 2u) << "task spans attributed to one thread";
-  EXPECT_EQ(indices, (std::set<double>{0.0, 1.0}));
-}
-
-TEST(ParallelTrace, SerialPathRecordsTaskSpansToo) {
-  // Task-event counts are part of the determinism contract: the serial
-  // path must emit exactly the events the pooled path emits.
-  so::TraceRing ring(16);
-  se::rethrow_first(se::parallel_for(
-      3, [](std::size_t) {}, se::ExecPolicy::serial(),
-      se::TaskObs{nullptr, &ring}));
-  const auto events = ring.snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  for (const auto& ev : events) {
-    EXPECT_EQ(ev.kind, so::TraceKind::kTaskSpan);
-  }
 }
 
 // ---- profiler determinism + thread safety ---------------------------------

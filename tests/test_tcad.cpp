@@ -128,6 +128,25 @@ TEST(DriftDiffusion, EquilibriumTerminalCurrentsVanish) {
   EXPECT_LT(std::abs(solver.terminal_current("bulk")), 1e-7);
 }
 
+TEST(DriftDiffusion, BiasedTerminalCurrentsSumToZero) {
+  // Kirchhoff's current law under bias: the discrete continuity
+  // equations conserve charge, so whatever enters at one contact leaves
+  // at the others — from the linear region through strong inversion.
+  st::DeviceStructure dev(nfet_90());
+  st::DriftDiffusionSolver solver(dev);
+  const std::vector<std::pair<double, double>> points = {
+      {0.0, 0.05}, {0.0, 0.25}, {0.15, 0.25}, {0.25, 0.25}, {0.45, 0.25}};
+  for (const auto& [vg, vd] : points) {
+    solver.solve_bias(vg, vd);
+    const double id = solver.terminal_current("drain");
+    const double sum = id + solver.terminal_current("source") +
+                       solver.terminal_current("bulk") +
+                       solver.terminal_current("gate");
+    EXPECT_LE(std::abs(sum), 1e-5 * std::abs(id))
+        << "vg=" << vg << " vd=" << vd << " id=" << id;
+  }
+}
+
 TEST(DriftDiffusion, EquilibriumMassActionInBulk) {
   st::DeviceStructure dev(nfet_90());
   st::DriftDiffusionSolver solver(dev);

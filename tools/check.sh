@@ -9,9 +9,14 @@
 #
 # Sanitized runs use their own build tree (build-asan, ...) so the plain
 # ./build tree stays warm. The thread mode builds with -fsanitize=thread
-# and runs only the exec-layer / determinism suites (Exec*, TaskPool,
-# Parallel*) — TSAN slows the numeric suites ~10x for no extra coverage,
-# since everything else is single-threaded unless it goes through exec.
+# and runs only the suites that start threads: the exec-layer /
+# determinism suites (Exec*, TaskPool, Parallel*), the serve daemon's
+# listener, worker pool and coalescing map (ServeAdmission,
+# ServeDispatcher, ServeServer, ServeMetrics), the orchestrator's
+# lease/heartbeat threads (Lease) and concurrent cache publishes
+# (ConcurrentPublish.Threads*; the forking ProcessesShareOneStore is left
+# out). TSAN slows the numeric suites ~10x for no extra coverage, since
+# everything else is single-threaded.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -31,7 +36,7 @@ if [[ -n "$sanitize" ]]; then
     thread)
       build_dir="$repo_root/build-tsan"
       # Only the suites that actually spin up threads.
-      ctest_args+=("-R" "^(Exec|TaskPool|Parallel)")
+      ctest_args+=("-R" "^(Exec|TaskPool|Parallel|Serve(Admission|Dispatcher|Server|Metrics)\\.|Lease\\.|ConcurrentPublish\\.Threads)")
       export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
       ;;
     *) build_dir="$repo_root/build-san" ;;
