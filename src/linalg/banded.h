@@ -3,8 +3,10 @@
 /// \file banded.h
 /// Banded direct solvers. The 2-D TCAD discretization on a tensor-product
 /// mesh produces matrices whose bandwidth equals the number of nodes in
-/// the faster-varying direction; a banded direct solve is both fast
-/// (O(n*bw^2)) and far more robust than iterative methods. Two kernels:
+/// the faster-varying direction of the unknowns' numbering; the TCAD
+/// solves number along the shorter mesh direction, so the bandwidth is
+/// min(nx, ny). A banded direct solve is both fast (O(n*bw^2)) and far
+/// more robust than iterative methods. Two kernels:
 ///   * BandedLu — row equilibration + partial pivoting, for the strongly
 ///     nonsymmetric continuity matrices;
 ///   * BandedCholesky — for the symmetric positive-definite Poisson

@@ -4,7 +4,10 @@
 /// Tensor-product rectilinear 2-D mesh with per-node material labels and
 /// named contact (Dirichlet boundary) sets. Node (i, j) sits at
 /// (x[i], y[j]); the linear index is j * nx + i so the x direction varies
-/// fastest — this gives the TCAD system matrices a bandwidth of nx.
+/// fastest. That index is the state layout everywhere (solution vectors,
+/// cache payloads, prolongation). The banded TCAD solves number their
+/// unknowns along the shorter direction instead (band_position), which
+/// gives their system matrices a bandwidth of min(nx, ny).
 ///
 /// Convention for MOSFET cross-sections: x runs along the channel
 /// (source -> drain), y runs downward into the device (y = 0 at the gate
@@ -43,6 +46,20 @@ class TensorMesh2d {
   }
   std::size_t i_of(std::size_t idx) const { return idx % nx(); }
   std::size_t j_of(std::size_t idx) const { return idx / nx(); }
+
+  // ---- banded numbering ---------------------------------------------
+
+  /// Bandwidth of a 5-point stencil in the band numbering: min(nx, ny).
+  std::size_t band_width() const { return ny() < nx() ? ny() : nx(); }
+
+  /// Row/column of node idx in the banded TCAD systems. Numbering runs
+  /// along the shorter direction, so the x and y neighbours of a node sit
+  /// at most band_width() positions away: column by column (i * ny + j)
+  /// when ny < nx, the mesh index itself otherwise. A bijection on
+  /// [0, node_count()).
+  std::size_t band_position(std::size_t idx) const {
+    return ny() < nx() ? i_of(idx) * ny() + j_of(idx) : idx;
+  }
 
   // ---- control volumes (box method) ---------------------------------
 

@@ -57,9 +57,11 @@ void SgWorkspace::bind(const DeviceStructure& dev) {
   const std::size_t n_nodes = m.node_count();
   const std::size_t nx = m.nx();
   edges_.assign(4 * n_nodes, Edge{});
+  pos_.resize(n_nodes);
   for (std::size_t j = 0; j < m.ny(); ++j) {
     for (std::size_t i = 0; i < nx; ++i) {
       const std::size_t idx = m.index(i, j);
+      pos_[idx] = m.band_position(idx);
       const auto set_edge = [&](std::size_t slot, std::size_t nb,
                                 double dist, double area) {
         if (!dev.silicon_edge(idx, nb)) return;  // no flux into oxide
@@ -94,7 +96,8 @@ void SgWorkspace::bind(const DeviceStructure& dev) {
       }
     }
   }
-  a_ = std::make_unique<linalg::BandedMatrix>(n_nodes, nx, nx);
+  const std::size_t bw = m.band_width();
+  a_ = std::make_unique<linalg::BandedMatrix>(n_nodes, bw, bw);
   rhs_.assign(n_nodes, 0.0);
   dev_ = &dev;
 }
@@ -141,22 +144,25 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
 
   // Every row is rewritten below, so zeroed-and-refilled recycled
   // buffers assemble the identical system a fresh matrix would.
+  // Node idx is row/column pos[idx] of the band system.
   linalg::BandedMatrix& a = *ws.a_;
   a.set_zero();
   std::vector<double>& rhs = ws.rhs_;
+  const std::vector<std::size_t>& pos = ws.pos_;
 
   for (std::size_t idx = 0; idx < n_nodes; ++idx) {
+    const std::size_t row = pos[idx];
     // Oxide nodes carry no carriers; contact silicon nodes are ohmic.
     if (!dev.is_silicon(idx)) {
-      a.at(idx, idx) = 1.0;
-      rhs[idx] = 0.0;
+      a.at(row, row) = 1.0;
+      rhs[row] = 0.0;
       continue;
     }
     if (dev.is_contact(idx)) {
       double n_eq = 0.0, p_eq = 0.0;
       dev.ohmic_carriers(idx, &n_eq, &p_eq);
-      a.at(idx, idx) = 1.0;
-      rhs[idx] = (electrons ? n_eq : p_eq) / weight(idx);
+      a.at(row, row) = 1.0;
+      rhs[row] = (electrons ? n_eq : p_eq) / weight(idx);
       continue;
     }
 
@@ -177,11 +183,11 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
       const double dpsi = (psi[nb] - psi[idx]) / vt;
       if (electrons) {
         // sum_e k [ n_nb B(dpsi) - n_idx B(-dpsi) ] = box R
-        a.add(idx, nb, k * physics::bernoulli(dpsi) * weight(nb));
+        a.add(row, pos[nb], k * physics::bernoulli(dpsi) * weight(nb));
         diag -= k * physics::bernoulli(-dpsi) * weight(idx);
       } else {
         // sum_e k [ p_idx B(dpsi) - p_nb B(-dpsi) ] + box R = 0
-        a.add(idx, nb, -k * physics::bernoulli(-dpsi) * weight(nb));
+        a.add(row, pos[nb], -k * physics::bernoulli(-dpsi) * weight(nb));
         diag += k * physics::bernoulli(dpsi) * weight(idx);
       }
     }
@@ -196,24 +202,24 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
     if (electrons) {
       // sum(...) - box (n p - ni^2)/D = 0
       diag -= box * other / denom * weight(idx);
-      rhs[idx] = -box * ni * ni / denom;
+      rhs[row] = -box * ni * ni / denom;
     } else {
       // sum(...) + box (n p - ni^2)/D = 0
       diag += box * other / denom * weight(idx);
-      rhs[idx] = box * ni * ni / denom;
+      rhs[row] = box * ni * ni / denom;
     }
-    a.at(idx, idx) = diag;
+    a.at(row, row) = diag;
   }
 
+  std::vector<double> x;
   {
     const obs::ScopedSpan lu_span(profiler,
                                   obs::names::spans::kBandedLuSolve);
-    density = linalg::BandedLu(a).solve(rhs);
+    x = linalg::BandedLu(a).solve(rhs);
   }
-  if (options.slotboom) {
-    for (std::size_t idx = 0; idx < n_nodes; ++idx) {
-      density[idx] *= w[idx];
-    }
+  // Back to mesh index order.
+  for (std::size_t idx = 0; idx < n_nodes; ++idx) {
+    density[idx] = x[pos[idx]] * weight(idx);
   }
   // The linear solve can undershoot in sharply graded regions; clamp to a
   // tiny positive floor so logs and SRH terms stay defined. A NaN/Inf

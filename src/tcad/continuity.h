@@ -59,8 +59,11 @@ struct ContinuityResult {
 /// an I-V ramp performs on that device. The band-matrix and rhs buffers
 /// are recycled between calls (zero + refill is bitwise-identical to
 /// fresh construction, and every row is rewritten each assembly).
-/// Passing a workspace changes no arithmetic: results are
-/// bitwise-identical to the workspace-free path.
+/// The band matrix numbers its unknowns along the shorter mesh direction
+/// (TensorMesh2d::band_position, bandwidth min(nx, ny)); the solve
+/// scatters its solution back to mesh index order, so callers never see
+/// the band numbering. Passing a workspace changes no arithmetic:
+/// results are bitwise-identical to the workspace-free path.
 class SgWorkspace {
  public:
   SgWorkspace();
@@ -87,6 +90,7 @@ class SgWorkspace {
 
   const DeviceStructure* dev_ = nullptr;  ///< device the cache describes
   std::vector<Edge> edges_;               ///< 4 slots (W,E,S,N) per node
+  std::vector<std::size_t> pos_;          ///< band position of every node
   std::unique_ptr<linalg::BandedMatrix> a_;
   std::vector<double> rhs_;
   std::vector<double> w_;  ///< Slotboom weights scratch

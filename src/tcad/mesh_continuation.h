@@ -4,7 +4,7 @@
 /// Coarse-to-fine mesh continuation for cold drift–diffusion solves.
 /// The expensive part of a cold solve is the bias-continuation ramp on
 /// the FINE mesh: a dozen-plus continuation points, each a full Gummel
-/// solve against an O(nx^2 * n) banded factorization. A
+/// solve against an O(min(nx, ny)^2 * n) banded factorization. A
 /// mesh 4x coarser in each direction factors ~256x cheaper, so ramping
 /// on a cascade of coarse replicas and prolonging the result down as a
 /// fine-mesh initial guess converts the fine ramp into (ideally) one
@@ -85,8 +85,10 @@ class MeshContinuation {
                   std::vector<double>& n, std::vector<double>& p);
 
   std::size_t level_count() const { return levels_.size(); }
-  /// Coarsest-first mesh node counts (test observability).
-  std::vector<std::size_t> level_node_counts() const;
+  /// Mesh of coarse level k, coarsest first (test observability).
+  const mesh::TensorMesh2d& level_mesh(std::size_t k) const {
+    return levels_.at(k).dev->mesh();
+  }
 
  private:
   struct Level {

@@ -33,7 +33,8 @@ PoissonOperator::PoissonOperator(const DeviceStructure& dev)
     : ni_(dev.ni()),
       vt_(dev.vt()),
       stencil_(dev.mesh().node_count()),
-      dirichlet_(dev.mesh().node_count(), 0) {
+      dirichlet_(dev.mesh().node_count(), 0),
+      pos_(dev.mesh().node_count()) {
   const auto& m = dev.mesh();
   const std::size_t nx = m.nx();
   const std::size_t ny = m.ny();
@@ -45,6 +46,7 @@ PoissonOperator::PoissonOperator(const DeviceStructure& dev)
     for (std::size_t i = 0; i < nx; ++i) {
       const std::size_t idx = m.index(i, j);
       dirichlet_[idx] = dev.is_contact(idx) ? 1 : 0;
+      pos_[idx] = m.band_position(idx);
       NodeStencil& s = stencil_[idx];
       const auto set_edge = [&](std::size_t slot, std::size_t nb,
                                 double dist, double area) {
@@ -97,9 +99,10 @@ void PoissonOperator::assemble(const std::vector<double>& phi_n,
   // factor() leaves L in the storage, so clear it before the refill.
   op.set_zero();
   for (std::size_t idx = 0; idx < n; ++idx) {
+    const std::size_t row = pos_[idx];
     if (dirichlet_[idx]) {
-      op.at(idx, idx) = 1.0;
-      rhs[idx] = 0.0;  // already imposed
+      op.at(row, row) = 1.0;
+      rhs[row] = 0.0;  // already imposed
       continue;
     }
     const NodeStencil& s = stencil_[idx];
@@ -113,7 +116,7 @@ void PoissonOperator::assemble(const std::vector<double>& phi_n,
       diag += k;
       // Lower triangle only: the upper coupling is the neighbour's row
       // entry, bitwise equal by symmetry.
-      if (nb < idx && !dirichlet_[nb]) op.at(idx, nb) = -k;
+      if (pos_[nb] < row && !dirichlet_[nb]) op.at(row, pos_[nb]) = -k;
     }
     if (s.qbox != 0.0) {
       const double nn = boltzmann_n(psi[idx], phi_n[idx], ni_, vt_);
@@ -121,8 +124,8 @@ void PoissonOperator::assemble(const std::vector<double>& phi_n,
       f += s.qbox * (pp - nn + s.doping);
       diag += s.qbox * (nn + pp) / vt_;
     }
-    op.at(idx, idx) = diag;
-    rhs[idx] = f;
+    op.at(row, row) = diag;
+    rhs[row] = f;
   }
 }
 
@@ -155,7 +158,7 @@ PoissonResult solve_poisson(const DeviceStructure& dev,
   const PoissonOperator op(dev);
   // Band storage and the step vector are hoisted out of the Newton loop;
   // every iteration overwrites both.
-  linalg::BandedCholesky jac(n_nodes, m.nx());
+  linalg::BandedCholesky jac(n_nodes, m.band_width());
   std::vector<double> delta(n_nodes, 0.0);
 
   PoissonResult result;
@@ -173,7 +176,8 @@ PoissonResult solve_poisson(const DeviceStructure& dev,
     double max_psi = 0.0;
     for (std::size_t idx = 0; idx < n_nodes; ++idx) {
       if (op.is_dirichlet(idx)) continue;
-      const double d = std::clamp(delta[idx], -options.damping_clamp,
+      const double d = std::clamp(delta[op.position(idx)],
+                                  -options.damping_clamp,
                                   options.damping_clamp);
       psi[idx] += d;
       max_update = std::max(max_update, std::abs(d));

@@ -7,8 +7,9 @@
 /// problem of a Gummel iteration). Dirichlet at contacts, natural
 /// Neumann elsewhere; solved with damped Newton. The Newton operator is
 /// symmetric positive definite (see PoissonOperator), so every step is
-/// one in-place banded Cholesky factorization (bandwidth = nx of the
-/// tensor mesh).
+/// one in-place banded Cholesky factorization. Its unknowns are numbered
+/// along the shorter mesh direction (TensorMesh2d::band_position), so
+/// the bandwidth is min(nx, ny) of the tensor mesh.
 
 #include <array>
 #include <cstdint>
@@ -48,9 +49,14 @@ class PoissonOperator {
   /// True at contact nodes, whose potential is imposed.
   bool is_dirichlet(std::size_t idx) const { return dirichlet_[idx] != 0; }
 
-  /// Overwrite `op` (n_nodes x nx lower band, unknowns in mesh index
-  /// order) with -J at psi and `rhs` with f, so that the Newton step
-  /// solves op * delta = rhs.
+  /// Row/column of node idx in the assembled system
+  /// (TensorMesh2d::band_position).
+  std::size_t position(std::size_t idx) const { return pos_[idx]; }
+
+  /// Overwrite `op` (n_nodes x mesh.band_width() lower band, node idx at
+  /// row/column position(idx)) with -J at psi and `rhs` with f in the
+  /// same order, so that the Newton step solves op * delta = rhs and node
+  /// idx's update is delta[position(idx)].
   void assemble(const std::vector<double>& phi_n,
                 const std::vector<double>& phi_p,
                 const std::vector<double>& psi, linalg::BandedCholesky& op,
@@ -70,6 +76,7 @@ class PoissonOperator {
   double vt_;
   std::vector<NodeStencil> stencil_;
   std::vector<char> dirichlet_;
+  std::vector<std::size_t> pos_;  // band position of every mesh node
 };
 
 struct PoissonOptions {

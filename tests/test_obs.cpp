@@ -284,7 +284,8 @@ TEST(ObsTcad, SweepPublishesCounters) {
   EXPECT_GT(snap.counter(so::names::kContinuitySolves), 0u);
 
   // The band-flop work counters check.sh budgets: every Poisson Newton
-  // step is one banded Cholesky of the n-node, kd = nx Jacobian, so the
+  // step is one banded Cholesky of the n-node, kd = min(nx, ny) Jacobian
+  // (unknowns numbered along the shorter mesh direction), so the
   // Poisson count is that nominal per-factorization count times the
   // Newton iterations.
   const std::uint64_t poisson_flops =
@@ -293,7 +294,8 @@ TEST(ObsTcad, SweepPublishesCounters) {
   EXPECT_GT(snap.counter(so::names::kBandFlopsContinuity), 0u);
   const auto& mesh = dev.structure().mesh();
   const std::uint64_t per_factorization =
-      sl::BandedCholesky::nominal_flops(mesh.node_count(), mesh.nx());
+      sl::BandedCholesky::nominal_flops(mesh.node_count(),
+                                        mesh.band_width());
   ASSERT_GT(per_factorization, 0u);
   EXPECT_EQ(poisson_flops % per_factorization, 0u);
   EXPECT_EQ(poisson_flops / per_factorization,

@@ -254,12 +254,13 @@ TEST(SolverEquivalence, MeshContinuationActuallyRuns) {
   ctx.metrics = &reg;
   st::TcadDevice dev(table2_90(), {}, tight(2), ctx);
   ASSERT_NE(dev.mesh_continuation(), nullptr);
-  EXPECT_EQ(dev.mesh_continuation()->level_count(), 2u);
+  ASSERT_EQ(dev.mesh_continuation()->level_count(), 2u);
   // Coarser levels really are coarser, in order.
-  const auto counts = dev.mesh_continuation()->level_node_counts();
-  ASSERT_EQ(counts.size(), 2u);
-  EXPECT_LT(counts[0], counts[1]);
-  EXPECT_LT(counts[1], dev.structure().mesh().node_count());
+  const st::MeshContinuation& cascade = *dev.mesh_continuation();
+  EXPECT_LT(cascade.level_mesh(0).node_count(),
+            cascade.level_mesh(1).node_count());
+  EXPECT_LT(cascade.level_mesh(1).node_count(),
+            dev.structure().mesh().node_count());
   dev.id_at(1.2, 1.2);
   EXPECT_GT(reg.counter(so::names::kMeshContLevels).value(), 0u);
   EXPECT_GT(reg.counter(so::names::kMeshContProlongations).value(), 0u);

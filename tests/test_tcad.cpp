@@ -628,6 +628,75 @@ TEST(MeshContinuationProlongation, CoarseOnlyFaultFallsBackToColdPath) {
   EXPECT_GT(reg.counter(so::names::kMeshContFallbacks).value(), 0u);
 }
 
+// ---- banded numbering ------------------------------------------------------
+
+TEST(TensorMesh2d, BandNumberingIsAPermutationWithinMinBandwidth) {
+  // Both TCAD direct solves number their unknowns with band_position and
+  // size their band storage with band_width(). Pin the three facts that
+  // make this safe on every mesh the simulator builds (both strategies'
+  // designs of every bulk-card node, plus the two coarse levels mesh
+  // continuation builds for each): the numbering is a bijection, every
+  // stencil edge lands inside the band, and the band is the shorter
+  // mesh direction.
+  const auto check = [](const sm::TensorMesh2d& m, const std::string& where) {
+    const std::size_t n = m.node_count();
+    EXPECT_EQ(m.band_width(), std::min(m.nx(), m.ny())) << where;
+    std::vector<char> seen(n, 0);
+    std::size_t collisions = 0, out_of_band = 0;
+    for (std::size_t a = 0; a < n; ++a) {
+      const std::size_t pa = m.band_position(a);
+      ASSERT_LT(pa, n) << where;
+      if (seen[pa]++) ++collisions;
+      const std::size_t i = m.i_of(a), j = m.j_of(a);
+      // East and north cover every W/E/S/N pair once.
+      for (const bool east : {true, false}) {
+        if (east ? i + 1 == m.nx() : j + 1 == m.ny()) continue;
+        const std::size_t pb =
+            m.band_position(east ? m.index(i + 1, j) : m.index(i, j + 1));
+        const std::size_t dist = pa > pb ? pa - pb : pb - pa;
+        if (dist > m.band_width()) ++out_of_band;
+      }
+    }
+    EXPECT_EQ(collisions, 0u) << where;
+    EXPECT_EQ(out_of_band, 0u) << where;
+  };
+
+  // Both branches on small meshes: column by column when wider than
+  // deep, mesh order otherwise.
+  check(uniform_mesh(7, 4, 1e-9), "7x4");
+  check(uniform_mesh(4, 7, 1e-9), "4x7");
+  check(uniform_mesh(5, 5, 1e-9), "5x5");
+  EXPECT_EQ(uniform_mesh(7, 4, 1e-9).band_position(1), 4u);  // (1, 0)
+  EXPECT_EQ(uniform_mesh(4, 7, 1e-9).band_position(1), 1u);
+
+  st::GummelOptions cascade_options;
+  cascade_options.mesh_continuation_levels = 2;
+  std::size_t meshes = 0;
+  for (const std::string& id : subscale::cards::builtin_card_ids()) {
+    subscale::core::StudyOptions options;
+    options.card = subscale::cards::resolve_card(id);
+    if (options.card.env.backend != sc::BackendKind::kBulkMosfet) continue;
+    const subscale::core::ScalingStudy study(sc::paper_calibration(),
+                                             options);
+    for (std::size_t k = 0; k < 2 * study.node_count(); ++k) {
+      const std::size_t node = k / 2;
+      const sc::DeviceSpec& spec =
+          k % 2 == 0 ? study.super_devices()[node].spec
+                     : study.sub_devices()[node].device.spec;
+      const std::string where = id + " device " + std::to_string(k);
+      check(st::make_device_structure(spec).mesh(), where);
+      const st::MeshContinuation cascade(spec, {}, cascade_options, {});
+      ASSERT_EQ(cascade.level_count(), 2u) << where;
+      for (std::size_t lvl = 0; lvl < 2; ++lvl) {
+        check(cascade.level_mesh(lvl),
+              where + " coarse level " + std::to_string(lvl));
+      }
+      meshes += 3;
+    }
+  }
+  EXPECT_GE(meshes, 3u * 28u);  // 2 x (4 + 6 + 4) nodes on the bulk cards
+}
+
 // ---- Poisson Newton operator -----------------------------------------------
 
 TEST(PoissonOperator, SymmetricPositiveDefiniteOnEveryBulkCardNode) {
@@ -667,14 +736,16 @@ TEST(PoissonOperator, SymmetricPositiveDefiniteOnEveryBulkCardNode) {
             st::solve_poisson(dev, biases, phi, phi, psi);
         EXPECT_TRUE(res.converged) << where;
 
-        subscale::linalg::BandedCholesky jac(n, m.nx());
+        subscale::linalg::BandedCholesky jac(n, m.band_width());
         std::vector<double> rhs(n, 0.0);
         op.assemble(phi, phi, psi, jac, rhs);
         std::size_t asymmetric = 0, misplaced = 0;
         for (std::size_t a = 0; a < n; ++a) {
           if (op.is_dirichlet(a)) continue;
           const std::size_t i = m.i_of(a), j = m.j_of(a);
-          // West and south neighbours: the lower-triangle partners.
+          // West and south neighbours: the lower-triangle partners in
+          // both numberings (column by column, west is pos - ny and
+          // south is pos - 1).
           for (const bool west : {true, false}) {
             if (west ? i == 0 : j == 0) continue;
             const std::size_t b = west ? a - 1 : a - m.nx();
@@ -682,7 +753,9 @@ TEST(PoissonOperator, SymmetricPositiveDefiniteOnEveryBulkCardNode) {
             const double k_ab = op.coupling(a, b);
             const double k_ba = op.coupling(b, a);
             if (!(k_ab > 0.0) || k_ab != k_ba) ++asymmetric;
-            if (jac.at(a, b) != -k_ab) ++misplaced;
+            if (jac.at(op.position(a), op.position(b)) != -k_ab) {
+              ++misplaced;
+            }
           }
         }
         EXPECT_EQ(asymmetric, 0u) << where;

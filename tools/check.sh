@@ -125,19 +125,30 @@ if [[ -z "$sanitize" ]]; then
   # the recorded headline number) plus a generous absolute wall ceiling
   # on the accelerated cold solve, so a pathological slowdown fails
   # even on a run where the ratio happens to hold. The deterministic
-  # work budget caps the nominal Poisson factorization flops (7.9e9 on
-  # the Cholesky path; the pivoting LU it replaced costs about 4x that),
-  # so a reverted kernel or a Newton-iteration blow-up fails on any
-  # hardware. Then the gate is proven live by demanding an impossible
-  # floor trips it.
+  # work budgets cap the nominal factorization flops of both direct
+  # solves: Poisson 2.53e9 and continuity 4.99e9 with the unknowns
+  # numbered along the shorter mesh direction (bandwidth min(nx, ny)),
+  # against 7.9e9 and 1.59e10 at bandwidth nx and about 4x the Poisson
+  # figure again on the pivoting LU. A reverted numbering or kernel, or
+  # a Newton-iteration blow-up, fails on any hardware. Then the gate is
+  # proven live both ways: an impossible cold_speedup floor and an
+  # impossible band-flop ceiling (1e9, under what either numbering
+  # costs) must each trip it.
   "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
       --bench tcad_validation --metric-min cold_speedup=3.0 \
       --metric-max cold_solve_ms_accel=30000 \
-      --metric-max linalg.banded.band_flops.poisson=1e10
+      --metric-max linalg.banded.band_flops.poisson=4e9 \
+      --metric-max linalg.banded.band_flops.continuity=8e9
   if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
       --bench tcad_validation --metric-min cold_speedup=1000000 \
       > /dev/null; then
     echo "check.sh: obs_trend budget gate failed to trip" >&2
+    exit 1
+  fi
+  if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+      --bench tcad_validation \
+      --metric-max linalg.banded.band_flops.continuity=1e9 > /dev/null; then
+    echo "check.sh: obs_trend band-flop budget failed to trip" >&2
     exit 1
   fi
   if ! "$build_dir/tools/obs_trend" show --db "$bench_tmp/perfdb" \
