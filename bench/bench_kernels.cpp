@@ -17,7 +17,6 @@
 #include "circuits/vtc.h"
 #include "compact/mosfet.h"
 #include "linalg/banded.h"
-#include "linalg/banded_reference.h"
 #include "opt/golden_section.h"
 #include "scaling/supervth_strategy.h"
 #include "tcad/continuity.h"
@@ -38,7 +37,7 @@ compact::DeviceSpec spec_90() {
 // BandedCholesky. Each timed iteration copies the unfactored matrix,
 // which stands in for the per-solve refill both TCAD call sites pay.
 struct SpdBench {
-  linalg::BandedMatrix full;
+  linalg::BandedLu full;
   linalg::BandedCholesky lower;
   std::vector<double> b;
 };
@@ -46,7 +45,7 @@ struct SpdBench {
 SpdBench make_bench_spd(std::size_t n, std::size_t bw) {
   std::mt19937 rng(7);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  SpdBench out{linalg::BandedMatrix(n, bw, bw), linalg::BandedCholesky(n, bw),
+  SpdBench out{linalg::BandedLu(n, bw, bw), linalg::BandedCholesky(n, bw),
                std::vector<double>(n, 1.0)};
   std::vector<double> row_sum(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -63,25 +62,61 @@ SpdBench make_bench_spd(std::size_t n, std::size_t bw) {
   return out;
 }
 
+// Scharfetter–Gummel-like band systems (the continuity solve's class):
+// a 5-point stencil on a grid `bw` nodes wide, nonsymmetric positive
+// couplings, and a negative diagonal that dominates its column by a
+// small recombination term — so the pivot-free LU never breaks down.
+linalg::BandedLu make_bench_sg(std::size_t n, std::size_t bw) {
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<double> dist(0.1, 1.0);
+  linalg::BandedLu a(n, bw, bw);
+  std::vector<double> col_sum(n, 0.0);
+  const auto couple = [&](std::size_t r, std::size_t c) {
+    const double v = dist(rng);
+    a.at(r, c) = v;
+    col_sum[c] += v;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % bw != 0) couple(i, i - 1);
+    if (i + 1 < n && (i + 1) % bw != 0) couple(i, i + 1);
+    if (i >= bw) couple(i, i - bw);
+    if (i + bw < n) couple(i, i + bw);
+  }
+  for (std::size_t i = 0; i < n; ++i) a.at(i, i) = -(col_sum[i] + 1e-3);
+  return a;
+}
+
 void BM_BandedLuFactorSolve(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const SpdBench sys = make_bench_spd(n, 41);
+  const linalg::BandedLu sys = make_bench_sg(n, 41);
   for (auto _ : state) {
-    linalg::BandedMatrix a = sys.full;
-    linalg::BandedLu lu(a);
-    benchmark::DoNotOptimize(lu.solve(sys.b));
+    linalg::BandedLu lu = sys;
+    std::vector<double> x(n, 1.0);
+    if (!lu.factor()) {
+      std::fprintf(stderr, "BANDED LU BREAKDOWN on a dominant system\n");
+      std::abort();
+    }
+    lu.solve(x);
+    benchmark::DoNotOptimize(x.data());
   }
 }
 BENCHMARK(BM_BandedLuFactorSolve)->Arg(400)->Arg(1000)->Arg(2000);
 
-// The Cholesky's reference anchor is the pivoting LU on the same matrix:
-// a disagreement beyond 1e-10 (normwise relative) aborts before timing.
+// The Cholesky's reference anchor is the LU on the same matrix (a
+// symmetric diagonally dominant matrix is column dominant, so the
+// pivot-free LU applies): a disagreement beyond 1e-10 (normwise
+// relative) aborts before timing.
 void BM_BandedCholeskyFactorSolve(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const SpdBench sys = make_bench_spd(n, 41);
   {
-    linalg::BandedMatrix a = sys.full;
-    const std::vector<double> x_lu = linalg::BandedLu(a).solve(sys.b);
+    linalg::BandedLu lu = sys.full;
+    std::vector<double> x_lu = sys.b;
+    if (!lu.factor()) {
+      std::fprintf(stderr, "BANDED LU BREAKDOWN on an SPD system\n");
+      std::abort();
+    }
+    lu.solve(x_lu);
     linalg::BandedCholesky chol = sys.lower;
     std::vector<double> x = sys.b;
     chol.factor();
@@ -107,24 +142,7 @@ void BM_BandedCholeskyFactorSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_BandedCholeskyFactorSolve)->Arg(400)->Arg(1000)->Arg(2000);
 
-// The blocked forward-elimination in BandedLu is pinned bitwise to the
-// textbook loop nest in ReferenceBandedLu (tier-1: test_linalg
-// BandedReference.BlockedEliminationMatchesReferenceBitwise). These two
-// benchmarks measure the speed side of that equivalence; the abort
-// below makes a silent numerical drift impossible to misread as a win.
-linalg::BandedMatrix make_bench_banded(std::size_t n, std::size_t bw) {
-  std::mt19937 rng(7);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  linalg::BandedMatrix a(n, bw, bw);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = (i > bw ? i - bw : 0); j <= std::min(n - 1, i + bw);
-         ++j) {
-      a.at(i, j) = (i == j) ? 8.0 + dist(rng) : dist(rng);
-    }
-  }
-  return a;
-}
-
+// Aborts unless two solutions agree bit for bit.
 void check_bitwise(const std::vector<double>& fast,
                    const std::vector<double>& ref, const char* what) {
   if (fast.size() != ref.size()) {
@@ -139,20 +157,6 @@ void check_bitwise(const std::vector<double>& fast,
     }
   }
 }
-
-void BM_BandedLuReferenceSolve(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const linalg::BandedMatrix a = make_bench_banded(n, 41);
-  std::vector<double> b(n, 1.0);
-  linalg::BandedMatrix factors = a;  // BandedLu factors in place
-  check_bitwise(linalg::BandedLu(factors).solve(b),
-                linalg::ReferenceBandedLu(a).solve(b), "banded lu");
-  for (auto _ : state) {
-    linalg::ReferenceBandedLu lu(a);
-    benchmark::DoNotOptimize(lu.solve(b));
-  }
-}
-BENCHMARK(BM_BandedLuReferenceSolve)->Arg(400)->Arg(1000)->Arg(2000);
 
 // Scharfetter–Gummel assembly, fresh-buffers vs SgWorkspace reuse. The
 // workspace caches edge geometry + zero-field mobilities across solves;

@@ -6,161 +6,80 @@
 
 namespace subscale::linalg {
 
-BandedMatrix::BandedMatrix(std::size_t n, std::size_t kl, std::size_t ku)
-    : n_(n), kl_(kl), ku_(ku), ldab_(2 * kl + ku + 1), ab_(ldab_ * n, 0.0) {
-  if (n == 0) throw std::invalid_argument("BandedMatrix: n must be > 0");
+BandedLu::BandedLu(std::size_t n, std::size_t kl, std::size_t ku)
+    : n_(n), kl_(kl), ku_(ku), ld_(kl + ku + 1), ab_(ld_ * n, 0.0) {
+  if (n == 0) throw std::invalid_argument("BandedLu: n must be > 0");
 }
 
-bool BandedMatrix::in_band(std::size_t r, std::size_t c) const {
-  if (r >= n_ || c >= n_) return false;
-  if (c > r) return (c - r) <= ku_;
-  return (r - c) <= kl_;
+std::size_t BandedLu::offset(std::size_t r, std::size_t c) const {
+  if (r >= n_ || c >= n_ || (c > r ? c - r > ku_ : r - c > kl_)) {
+    throw std::out_of_range("BandedLu::at: entry outside band");
+  }
+  return c * ld_ + (ku_ + r - c);
 }
 
-double& BandedMatrix::at(std::size_t r, std::size_t c) {
-  if (!in_band(r, c)) {
-    throw std::out_of_range("BandedMatrix::at: entry outside band");
-  }
-  return storage(r, c);
+double& BandedLu::at(std::size_t r, std::size_t c) { return ab_[offset(r, c)]; }
+
+double BandedLu::at(std::size_t r, std::size_t c) const {
+  return ab_[offset(r, c)];
 }
 
-double BandedMatrix::at(std::size_t r, std::size_t c) const {
-  if (!in_band(r, c)) {
-    throw std::out_of_range("BandedMatrix::at: entry outside band");
-  }
-  return storage(r, c);
-}
+void BandedLu::set_zero() { std::fill(ab_.begin(), ab_.end(), 0.0); }
 
-void BandedMatrix::set_zero() { std::fill(ab_.begin(), ab_.end(), 0.0); }
-
-std::vector<double> BandedMatrix::multiply(const std::vector<double>& x) const {
-  if (x.size() != n_) {
-    throw std::invalid_argument("BandedMatrix::multiply: size mismatch");
-  }
-  std::vector<double> y(n_, 0.0);
-  for (std::size_t r = 0; r < n_; ++r) {
-    const std::size_t c_lo = (r > kl_) ? r - kl_ : 0;
-    const std::size_t c_hi = std::min(n_ - 1, r + ku_);
-    double acc = 0.0;
-    for (std::size_t c = c_lo; c <= c_hi; ++c) acc += storage(r, c) * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
-BandedLu::BandedLu(BandedMatrix& a)
-    : lu_(a), ipiv_(lu_.n_), row_scale_(lu_.n_, 1.0) {
-  const std::size_t n = lu_.n_;
-  const std::size_t kl = lu_.kl_;
-  const std::size_t ku = lu_.ku_;
-
-  // Row equilibration: scale every row so its largest entry is ~1.
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::size_t c_lo = (r > kl) ? r - kl : 0;
-    const std::size_t c_hi = std::min(n - 1, r + ku);
-    double max_abs = 0.0;
-    for (std::size_t c = c_lo; c <= c_hi; ++c) {
-      max_abs = std::max(max_abs, std::abs(lu_.storage(r, c)));
-    }
-    if (max_abs == 0.0 || !std::isfinite(max_abs)) {
-      throw std::runtime_error("BandedLu: zero or non-finite row");
-    }
-    row_scale_[r] = 1.0 / max_abs;
-    for (std::size_t c = c_lo; c <= c_hi; ++c) {
-      lu_.storage(r, c) *= row_scale_[r];
-    }
-  }
-  // During factorization with partial pivoting the upper bandwidth grows to
-  // kl + ku; the storage already reserves that room (2*kl + ku + 1 rows).
-  const std::size_t ku_eff = kl + ku;
-
-  // Band storage is contiguous in r for fixed c (stride 1 down a column),
-  // so the trailing rank-1 update runs column-outer / row-inner: each inner
-  // loop is a unit-stride axpy the compiler can vectorize. Every element
-  // still receives exactly one `a -= factor * u` with the same operands as
-  // the row-outer form, so the factorization is bitwise identical to the
-  // reference (see banded_reference.h and the bench_kernels assertions).
-  double* ab = lu_.ab_.data();
-  const std::size_t ldab = lu_.ldab_;
-  const std::size_t band0 = kl + ku;  // storage row of the main diagonal
-
-  for (std::size_t k = 0; k < n; ++k) {
-    // Pivot search in column k, rows k .. min(n-1, k+kl).
-    const std::size_t r_hi = std::min(n - 1, k + kl);
-    const std::size_t nr = r_hi - k;           // rows strictly below the pivot
-    double* colk = ab + k * ldab + band0;      // colk[i] = storage(k+i, k)
-    std::size_t pivot_off = 0;
-    double pivot_mag = std::abs(colk[0]);
-    for (std::size_t i = 1; i <= nr; ++i) {
-      const double mag = std::abs(colk[i]);
-      if (mag > pivot_mag) {
-        pivot_mag = mag;
-        pivot_off = i;
-      }
-    }
-    if (pivot_mag == 0.0 || !std::isfinite(pivot_mag)) {
-      throw std::runtime_error("BandedLu: singular matrix");
-    }
-    const std::size_t pivot_row = k + pivot_off;
-    ipiv_[k] = pivot_row;
-    const std::size_t c_hi = std::min(n - 1, k + ku_eff);
-    if (pivot_row != k) {
-      // Swap rows k and pivot_row across the accessible band columns.
-      for (std::size_t c = k; c <= c_hi; ++c) {
-        double* colc = ab + c * ldab + (band0 + k - c);
-        std::swap(colc[0], colc[pivot_off]);
-      }
-    }
+bool BandedLu::factor() {
+  // Right-looking column elimination. Band storage is contiguous down a
+  // column, so the multipliers of column k (colk[i] = A(k+i, k)) and the
+  // slice of every trailing column they update (colc[i] = A(k+i, c)) are
+  // unit-stride axpys. With no row swaps the update stays inside the
+  // original band: rows k+1 .. k+kl, columns k+1 .. k+ku.
+  double* ab = ab_.data();
+  for (std::size_t k = 0; k < n_; ++k) {
+    double* colk = ab + k * ld_ + ku_;
     const double pivot = colk[0];
-    for (std::size_t i = 1; i <= nr; ++i) colk[i] /= pivot;
+    if (pivot == 0.0 || !std::isfinite(pivot)) return false;
+    const std::size_t nr = std::min(kl_, n_ - 1 - k);  // rows below diag
+    for (std::size_t i = 1; i <= nr; ++i) {
+      colk[i] /= pivot;
+      if (!(std::abs(colk[i]) <= 1.0)) return false;
+    }
+    const std::size_t c_hi = std::min(n_ - 1, k + ku_);
     for (std::size_t c = k + 1; c <= c_hi; ++c) {
-      double* colc = ab + c * ldab + (band0 + k - c);  // colc[i] = storage(k+i, c)
+      double* colc = ab + c * ld_ + (ku_ + k - c);
       const double u = colc[0];
       if (u == 0.0) continue;
       for (std::size_t i = 1; i <= nr; ++i) colc[i] -= colk[i] * u;
     }
   }
+  return true;
 }
 
-std::vector<double> BandedLu::solve(const std::vector<double>& b) const {
-  const std::size_t n = lu_.n_;
-  if (b.size() != n) {
+void BandedLu::solve(std::vector<double>& b) const {
+  if (b.size() != n_) {
     throw std::invalid_argument("BandedLu::solve: size mismatch");
   }
-  const std::size_t kl = lu_.kl_;
-  const std::size_t ku_eff = lu_.kl_ + lu_.ku_;
-  std::vector<double> x = b;
-  for (std::size_t r = 0; r < n; ++r) x[r] *= row_scale_[r];
-
-  // Apply row interchanges and forward-substitute with unit-lower L. The
-  // multipliers for column k sit contiguously in band storage, so the inner
-  // loop is a unit-stride axpy (same ops as the element-wise form).
-  const double* ab = lu_.ab_.data();
-  const std::size_t ldab = lu_.ldab_;
-  const std::size_t band0 = kl + lu_.ku_;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (ipiv_[k] != k) std::swap(x[k], x[ipiv_[k]]);
-    const std::size_t nr = std::min(n - 1, k + kl) - k;
-    const double* colk = ab + k * ldab + band0;  // colk[i] = storage(k+i, k)
-    const double xk = x[k];
-    double* xr = x.data() + k;
-    for (std::size_t i = 1; i <= nr; ++i) xr[i] -= colk[i] * xk;
+  const double* ab = ab_.data();
+  // Forward: unit-lower L y = b, column-oriented (axpy down column k).
+  for (std::size_t k = 0; k < n_; ++k) {
+    const double* colk = ab + k * ld_ + ku_;
+    const std::size_t nr = std::min(kl_, n_ - 1 - k);
+    const double yk = b[k];
+    double* br = b.data() + k;
+    for (std::size_t i = 1; i <= nr; ++i) br[i] -= colk[i] * yk;
   }
-  // Back substitution with U.
-  for (std::size_t kk = n; kk-- > 0;) {
-    const std::size_t c_hi = std::min(n - 1, kk + ku_eff);
-    double acc = x[kk];
-    for (std::size_t c = kk + 1; c <= c_hi; ++c) {
-      acc -= lu_.storage(kk, c) * x[c];
-    }
-    x[kk] = acc / lu_.storage(kk, kk);
+  // Backward: U x = y, column-oriented; u[i] = U(k - top + i, k).
+  for (std::size_t k = n_; k-- > 0;) {
+    const std::size_t top = std::min(ku_, k);
+    const double* u = ab + k * ld_ + (ku_ - top);
+    const double xk = b[k] / u[top];
+    b[k] = xk;
+    double* br = b.data() + (k - top);
+    for (std::size_t i = 0; i < top; ++i) br[i] -= u[i] * xk;
   }
-  return x;
 }
 
 std::uint64_t BandedLu::nominal_flops(std::size_t n, std::size_t kl,
                                       std::size_t ku) {
-  return std::uint64_t{n} * kl * (kl + ku);
+  return std::uint64_t{n} * kl * ku;
 }
 
 BandedCholesky::BandedCholesky(std::size_t n, std::size_t kd)

@@ -6,13 +6,17 @@
 /// the faster-varying direction of the unknowns' numbering; the TCAD
 /// solves number along the shorter mesh direction, so the bandwidth is
 /// min(nx, ny). A banded direct solve is both fast (O(n*bw^2)) and far
-/// more robust than iterative methods. Two kernels:
-///   * BandedLu — row equilibration + partial pivoting, for the strongly
-///     nonsymmetric continuity matrices;
+/// more robust than iterative methods. Two kernels, each relying on a
+/// structural property of its TCAD matrices instead of pivoting:
+///   * BandedLu — for the nonsymmetric Scharfetter–Gummel continuity
+///     matrices, which are column diagonally dominant by construction:
+///     in-place elimination with no scaling, no pivot search and no
+///     fill rows, guarded so that a column which would need a row swap
+///     is reported as a breakdown rather than solved;
 ///   * BandedCholesky — for the symmetric positive-definite Poisson
 ///     Newton operator (box-method Laplacian plus a positive charge
-///     diagonal): half the storage, no pivot search, about a quarter of
-///     the LU flops at equal bandwidth.
+///     diagonal): half the storage and half the flops of the LU at
+///     equal bandwidth.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,74 +24,62 @@
 
 namespace subscale::linalg {
 
-/// Banded matrix in LAPACK-style band storage with room for fill-in from
-/// partial pivoting: (2*kl + ku + 1) x n.
-class BandedMatrix {
+/// LU factorization A = L U of a banded matrix without pivoting, in
+/// LAPACK-style band storage without fill rows: (kl + ku + 1) x n,
+/// column-major, entry (r, c) at storage row ku + r - c of column c.
+/// The caller fills the matrix through at(), factor() overwrites it
+/// with unit-lower L (multipliers below the diagonal) and U, and
+/// solve() reuses the factors for any right-hand side.
+///
+/// Without pivoting the elimination is backward stable when every
+/// multiplier satisfies |a_ik / a_kk| <= 1, which holds on every
+/// column diagonally dominant matrix (and its Schur complements).
+/// factor() checks exactly that condition: it is the case in which
+/// partial pivoting would make no swap, so the factors are the ones
+/// the pivoting LU would compute. A column that violates it (or a zero
+/// or non-finite pivot) stops the factorization and is reported, never
+/// solved.
+class BandedLu {
  public:
   /// \param n  matrix dimension
   /// \param kl number of sub-diagonals
   /// \param ku number of super-diagonals
-  BandedMatrix(std::size_t n, std::size_t kl, std::size_t ku);
+  BandedLu(std::size_t n, std::size_t kl, std::size_t ku);
 
   std::size_t size() const { return n_; }
   std::size_t lower_bandwidth() const { return kl_; }
   std::size_t upper_bandwidth() const { return ku_; }
 
-  /// Access entry (r, c); (r, c) must lie within the band.
+  /// Entry (r, c); requires r - kl <= c <= r + ku and r, c < n, else
+  /// throws std::out_of_range.
   double& at(std::size_t r, std::size_t c);
   double at(std::size_t r, std::size_t c) const;
 
-  /// True if (r, c) lies within the declared band.
-  bool in_band(std::size_t r, std::size_t c) const;
-
-  /// Add `value` to entry (r, c) (must be in band).
-  void add(std::size_t r, std::size_t c, double value) { at(r, c) += value; }
-
   void set_zero();
 
-  /// y = A x.
-  std::vector<double> multiply(const std::vector<double>& x) const;
+  /// Factors the stored matrix in place. Returns false — leaving the
+  /// storage partly eliminated — at the first column whose pivot is
+  /// zero or non-finite or whose multiplier exceeds 1 in magnitude (or
+  /// is NaN). solve() is valid only after factor() returned true.
+  [[nodiscard]] bool factor();
 
- private:
-  friend class BandedLu;
-  std::size_t n_;
-  std::size_t kl_;
-  std::size_t ku_;
-  std::size_t ldab_;          // rows of band storage = 2*kl + ku + 1
-  std::vector<double> ab_;    // column-major band storage
-
-  double& storage(std::size_t r, std::size_t c) {
-    // Row index within band storage: kl + ku + r - c.
-    return ab_[c * ldab_ + (kl_ + ku_ + r - c)];
-  }
-  double storage(std::size_t r, std::size_t c) const {
-    return ab_[c * ldab_ + (kl_ + ku_ + r - c)];
-  }
-};
-
-/// LU factorization of a banded matrix with row equilibration and
-/// partial pivoting (LAPACK dgbtrf/dgbtrs behaviour plus dgbequ-style
-/// row scaling — drift-diffusion systems mix row magnitudes across ~25
-/// orders, which plain partial pivoting cannot survive).
-class BandedLu {
- public:
-  /// Factorizes `a` in place: its storage is overwritten by the factors
-  /// and must outlive this object unmodified. Throws std::runtime_error
-  /// if singular.
-  explicit BandedLu(BandedMatrix& a);
-
-  /// Solve A x = b.
-  std::vector<double> solve(const std::vector<double>& b) const;
+  /// Solve A x = b in place (b becomes x), using the factors from
+  /// factor().
+  void solve(std::vector<double>& b) const;
 
   /// Nominal multiply-adds of one factorization: the trailing update of
-  /// every column touches kl rows x (kl + ku) columns (fill included).
+  /// every column touches kl rows x ku columns.
   static std::uint64_t nominal_flops(std::size_t n, std::size_t kl,
                                      std::size_t ku);
 
  private:
-  BandedMatrix& lu_;
-  std::vector<std::size_t> ipiv_;
-  std::vector<double> row_scale_;
+  std::size_t n_;
+  std::size_t kl_;
+  std::size_t ku_;
+  std::size_t ld_;           // rows of band storage = kl + ku + 1
+  std::vector<double> ab_;   // column-major band storage
+
+  std::size_t offset(std::size_t r, std::size_t c) const;
 };
 
 /// Cholesky factorization A = L L^T of a symmetric positive-definite

@@ -58,6 +58,13 @@ void SgWorkspace::bind(const DeviceStructure& dev) {
   const std::size_t nx = m.nx();
   edges_.assign(4 * n_nodes, Edge{});
   pos_.resize(n_nodes);
+  n_eq_.assign(n_nodes, 0.0);
+  p_eq_.assign(n_nodes, 0.0);
+  for (std::size_t idx = 0; idx < n_nodes; ++idx) {
+    if (dev.is_silicon(idx) && dev.is_contact(idx)) {
+      dev.ohmic_carriers(idx, &n_eq_[idx], &p_eq_[idx]);
+    }
+  }
   for (std::size_t j = 0; j < m.ny(); ++j) {
     for (std::size_t i = 0; i < nx; ++i) {
       const std::size_t idx = m.index(i, j);
@@ -77,6 +84,7 @@ void SgWorkspace::bind(const DeviceStructure& dev) {
             physics::masetti_mobility(physics::Carrier::kElectron, doping);
         e.mu_p0 = physics::masetti_mobility(physics::Carrier::kHole, doping);
         e.active = true;
+        e.ohmic = dev.is_contact(nb);
       };
       if (i > 0) {
         set_edge(0, m.index(i - 1, j), m.x(i) - m.x(i - 1),
@@ -97,7 +105,7 @@ void SgWorkspace::bind(const DeviceStructure& dev) {
     }
   }
   const std::size_t bw = m.band_width();
-  a_ = std::make_unique<linalg::BandedMatrix>(n_nodes, bw, bw);
+  a_ = std::make_unique<linalg::BandedLu>(n_nodes, bw, bw);
   rhs_.assign(n_nodes, 0.0);
   dev_ = &dev;
 }
@@ -145,7 +153,7 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
   // Every row is rewritten below, so zeroed-and-refilled recycled
   // buffers assemble the identical system a fresh matrix would.
   // Node idx is row/column pos[idx] of the band system.
-  linalg::BandedMatrix& a = *ws.a_;
+  linalg::BandedLu& a = *ws.a_;
   a.set_zero();
   std::vector<double>& rhs = ws.rhs_;
   const std::vector<std::size_t>& pos = ws.pos_;
@@ -159,14 +167,17 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
       continue;
     }
     if (dev.is_contact(idx)) {
-      double n_eq = 0.0, p_eq = 0.0;
-      dev.ohmic_carriers(idx, &n_eq, &p_eq);
       a.at(row, row) = 1.0;
-      rhs[row] = (electrons ? n_eq : p_eq) / weight(idx);
+      rhs[row] = (electrons ? ws.n_eq_[idx] : ws.p_eq_[idx]) / weight(idx);
       continue;
     }
 
     double diag = 0.0;
+    // Couplings into ohmic-contact columns: the contact's unknown is
+    // known (its identity row fixes it), so its term moves to the rhs.
+    // That leaves every non-identity column diagonally dominant, which
+    // the pivot-free LU relies on.
+    double known = 0.0;
     // Slot order (W, E, S, N) preserves the seed assembly's per-row
     // accumulation order exactly.
     for (std::size_t slot = 0; slot < 4; ++slot) {
@@ -181,14 +192,21 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
       }
       const double k = mu * vt * e.area / e.dist;
       const double dpsi = (psi[nb] - psi[idx]) / vt;
+      double coupling = 0.0;
       if (electrons) {
         // sum_e k [ n_nb B(dpsi) - n_idx B(-dpsi) ] = box R
-        a.add(row, pos[nb], k * physics::bernoulli(dpsi) * weight(nb));
+        coupling = k * physics::bernoulli(dpsi) * weight(nb);
         diag -= k * physics::bernoulli(-dpsi) * weight(idx);
       } else {
         // sum_e k [ p_idx B(dpsi) - p_nb B(-dpsi) ] + box R = 0
-        a.add(row, pos[nb], -k * physics::bernoulli(-dpsi) * weight(nb));
+        coupling = -k * physics::bernoulli(-dpsi) * weight(nb);
         diag += k * physics::bernoulli(dpsi) * weight(idx);
+      }
+      if (e.ohmic) {
+        known += coupling *
+                 ((electrons ? ws.n_eq_[nb] : ws.p_eq_[nb]) / weight(nb));
+      } else {
+        a.at(row, pos[nb]) += coupling;
       }
     }
 
@@ -202,32 +220,41 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
     if (electrons) {
       // sum(...) - box (n p - ni^2)/D = 0
       diag -= box * other / denom * weight(idx);
-      rhs[row] = -box * ni * ni / denom;
+      rhs[row] = -box * ni * ni / denom - known;
     } else {
       // sum(...) + box (n p - ni^2)/D = 0
       diag += box * other / denom * weight(idx);
-      rhs[row] = box * ni * ni / denom;
+      rhs[row] = box * ni * ni / denom - known;
     }
     a.at(row, row) = diag;
   }
 
-  std::vector<double> x;
-  {
-    const obs::ScopedSpan lu_span(profiler,
-                                  obs::names::spans::kBandedLuSolve);
-    x = linalg::BandedLu(a).solve(rhs);
-  }
-  // Back to mesh index order.
-  for (std::size_t idx = 0; idx < n_nodes; ++idx) {
-    density[idx] = x[pos[idx]] * weight(idx);
-  }
-  // The linear solve can undershoot in sharply graded regions; clamp to a
-  // tiny positive floor so logs and SRH terms stay defined. A NaN/Inf
-  // (singular pivot from a degenerate potential) is counted and reset so
-  // it cannot poison the Gummel state — the caller sees it in the result.
   ContinuityResult result;
   result.band_flops = linalg::BandedLu::nominal_flops(
       n_nodes, a.lower_bandwidth(), a.upper_bandwidth());
+  bool factored = false;
+  {
+    const obs::ScopedSpan lu_span(profiler,
+                                  obs::names::spans::kBandedLuSolve);
+    factored = a.factor();
+    if (factored) a.solve(rhs);
+  }
+  // A column the pivot-free LU cannot eliminate without a row swap (a
+  // multiplier above 1, or a zero or non-finite pivot) is a breakdown of
+  // this stage: the density is left as it was and the caller's retry
+  // ladder takes over.
+  if (!factored) {
+    result.status = SolveStatus::kDiverged;
+    return result;
+  }
+  // Back to mesh index order.
+  for (std::size_t idx = 0; idx < n_nodes; ++idx) {
+    density[idx] = rhs[pos[idx]] * weight(idx);
+  }
+  // The linear solve can undershoot in sharply graded regions; clamp to a
+  // tiny positive floor so logs and SRH terms stay defined. A NaN/Inf
+  // (from a non-finite assembly entry) is counted and reset so it cannot
+  // poison the Gummel state — the caller sees it in the result.
   const double floor = 1e-20 * ni;
   for (std::size_t idx = 0; idx < n_nodes; ++idx) {
     if (!dev.is_silicon(idx)) {

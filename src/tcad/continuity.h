@@ -3,7 +3,11 @@
 /// \file continuity.h
 /// Steady-state carrier continuity with Scharfetter–Gummel fluxes:
 /// div J_n = +q R, div J_p = -q R, with SRH recombination (denominator
-/// lagged so each solve is a single banded linear system).
+/// lagged so each solve is a single banded linear system). The system is
+/// column diagonally dominant by construction — each interior column's
+/// off-diagonals sum to its diagonal minus the SRH term, and ohmic-contact
+/// couplings move to the rhs — so it is solved by the pivot-free
+/// linalg::BandedLu.
 
 #include <cstddef>
 #include <cstdint>
@@ -19,7 +23,7 @@ class SpanProfiler;
 }  // namespace subscale::obs
 
 namespace subscale::linalg {
-class BandedMatrix;
+class BandedLu;
 }  // namespace subscale::linalg
 
 namespace subscale::tcad {
@@ -39,7 +43,9 @@ struct ContinuityOptions {
   /// variable choice, while at high bias the e^{psi/vt} weights span
   /// the full psi range and degrade the linear systems' conditioning
   /// enough to stall tight-tolerance ramps above ~1V. Off by default:
-  /// the raw-density path reproduces the seed solver bitwise.
+  /// the raw-density path is the production discretization. Both
+  /// assemblies keep the column dominance the pivot-free LU needs (the
+  /// weights scale a column uniformly).
   bool slotboom = false;
 };
 
@@ -62,8 +68,11 @@ struct ContinuityResult {
 /// The band matrix numbers its unknowns along the shorter mesh direction
 /// (TensorMesh2d::band_position, bandwidth min(nx, ny)); the solve
 /// scatters its solution back to mesh index order, so callers never see
-/// the band numbering. Passing a workspace changes no arithmetic:
-/// results are bitwise-identical to the workspace-free path.
+/// the band numbering. bind() also records each ohmic contact node's
+/// equilibrium densities and marks every edge into one, so the assembly
+/// moves those known couplings to the rhs. Passing a workspace changes
+/// no arithmetic: results are bitwise-identical to the workspace-free
+/// path.
 class SgWorkspace {
  public:
   SgWorkspace();
@@ -84,6 +93,7 @@ class SgWorkspace {
     double mu_n0 = 0.0;    ///< zero-field Masetti mobility, electrons
     double mu_p0 = 0.0;    ///< zero-field Masetti mobility, holes
     bool active = false;   ///< edge exists and both ends are silicon
+    bool ohmic = false;    ///< neighbour is an ohmic contact node
   };
 
   void bind(const DeviceStructure& dev);
@@ -91,7 +101,9 @@ class SgWorkspace {
   const DeviceStructure* dev_ = nullptr;  ///< device the cache describes
   std::vector<Edge> edges_;               ///< 4 slots (W,E,S,N) per node
   std::vector<std::size_t> pos_;          ///< band position of every node
-  std::unique_ptr<linalg::BandedMatrix> a_;
+  std::vector<double> n_eq_;              ///< ohmic n at contact nodes
+  std::vector<double> p_eq_;              ///< ohmic p at contact nodes
+  std::unique_ptr<linalg::BandedLu> a_;
   std::vector<double> rhs_;
   std::vector<double> w_;  ///< Slotboom weights scratch
 };
@@ -99,9 +111,12 @@ class SgWorkspace {
 /// Solve the electron (or hole) continuity equation for the density
 /// field, given the electrostatic potential. The opposite carrier's
 /// density enters the (lagged) SRH term. Results are clamped positive.
-/// A non-finite linear-solve output (degenerate potential, singular
-/// pivot) is reported via the result instead of being propagated as
-/// garbage currents; the offending nodes are reset to the density floor.
+/// A non-finite linear-solve output is reported via the result
+/// (kNonFinite) instead of being propagated as garbage currents; the
+/// offending nodes are reset to the density floor. A breakdown of the
+/// pivot-free LU (a column that would need a row swap, or a zero or
+/// non-finite pivot) returns kDiverged and leaves `density` unchanged;
+/// no other continuity outcome is kDiverged.
 /// A non-null `profiler` records the "linalg.banded_lu.solve" span of
 /// the single banded solve. A non-null `workspace` reuses cached
 /// geometry/mobility tables and assembly buffers across calls (see

@@ -30,7 +30,10 @@ enum class SolveStage {
 enum class SolveStatus {
   kConverged,  ///< met its tolerance
   kStalled,    ///< ran out of iterations while still finite
-  kDiverged,   ///< update/state grew past the divergence threshold
+  /// Poisson/Gummel: update or state grew past the divergence
+  /// threshold. Continuity: the pivot-free banded LU broke down (a
+  /// multiplier above 1 in magnitude, or a zero or non-finite pivot).
+  kDiverged,
   kNonFinite,  ///< NaN/Inf detected in the state
 };
 

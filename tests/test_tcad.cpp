@@ -17,6 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "physics/units.h"
+#include "tcad/continuity.h"
 #include "tcad/device_sim.h"
 #include "tcad/extract.h"
 #include "tcad/mesh_continuation.h"
@@ -765,4 +766,82 @@ TEST(PoissonOperator, SymmetricPositiveDefiniteOnEveryBulkCardNode) {
     }
   }
   EXPECT_GE(devices, 28u);  // 2 x (4 + 6 + 4) nodes on the bulk cards
+}
+
+// ---- continuity LU -----------------------------------------------------------
+
+TEST(ContinuityLu, NoBreakdownOnConvergingBulkCardSolvesAt90And65nm) {
+  // solve_continuity factors its Scharfetter–Gummel matrix with a
+  // pivot-free banded LU that relies on column diagonal dominance; a
+  // column that would need a row swap is reported as a continuity-stage
+  // failure. Pin that the guard never fires on solves that converge:
+  // equilibrium and (V_gs, V_ds) = (V_dd, V_dd) for the super- and
+  // sub-V_th designs of the 90 and 65 nm nodes of every bulk card — no
+  // continuity failure in the report, not even one a retry recovered.
+  // The full-V_dd corner needs more than the default 60 outer
+  // iterations on the super-V_th 90 nm designs (as in
+  // bench_tcad_validation's cold-solve corners).
+  st::GummelOptions gummel;
+  gummel.max_iterations = 400;
+  const auto continuity_failures = [](const st::SolverReport& report) {
+    std::size_t count =
+        report.failed_stage == st::SolveStage::kContinuity ? 1 : 0;
+    for (const st::AttemptRecord& attempt : report.failures) {
+      if (attempt.stage == st::SolveStage::kContinuity) ++count;
+    }
+    return count;
+  };
+  std::size_t devices = 0;
+  for (const std::string& id : subscale::cards::builtin_card_ids()) {
+    subscale::core::StudyOptions options;
+    options.card = subscale::cards::resolve_card(id);
+    if (options.card.env.backend != sc::BackendKind::kBulkMosfet) continue;
+    const subscale::core::ScalingStudy study(sc::paper_calibration(),
+                                             options);
+    for (std::size_t node = 0; node < study.node_count(); ++node) {
+      const std::string& name = study.node(node).name;
+      if (name != "90nm" && name != "65nm") continue;
+      for (const bool super : {true, false}) {
+        const sc::DeviceSpec& spec = super
+                                         ? study.super_devices()[node].spec
+                                         : study.sub_devices()[node].device.spec;
+        const std::string where =
+            id + " " + name + (super ? " super-V_th" : " sub-V_th");
+        const st::DeviceStructure dev = st::make_device_structure(spec);
+        st::DriftDiffusionSolver solver(dev, gummel);
+        ASSERT_NO_THROW(solver.solve_equilibrium()) << where;
+        EXPECT_EQ(continuity_failures(solver.last_report()), 0u)
+            << where << " equilibrium: " << solver.last_report().summary();
+        const double vdd = study.node(node).vdd;
+        const st::SolverReport& report = solver.try_solve_bias(vdd, vdd);
+        EXPECT_TRUE(report.converged) << where << ": " << report.summary();
+        EXPECT_EQ(continuity_failures(report), 0u)
+            << where << ": " << report.summary();
+        ++devices;
+      }
+    }
+  }
+  EXPECT_EQ(devices, 12u);  // 3 bulk cards x {90, 65} nm x 2 strategies
+}
+
+TEST(ContinuityLu, BreakdownIsADivergedStageNotAnException) {
+  // A NaN potential at one interior node puts NaN into the SG matrix.
+  // The pivot-free LU reports the NaN multiplier as a breakdown, and
+  // solve_continuity returns it as kDiverged: no exception, and the
+  // density is left as it was.
+  const st::DeviceStructure dev(nfet_90(), coarse_mesh());
+  st::DriftDiffusionSolver solver(dev);
+  solver.solve_equilibrium();
+  std::vector<double> psi = solver.psi();
+  std::size_t interior = 0;
+  while (!dev.is_silicon(interior) || dev.is_contact(interior)) ++interior;
+  psi[interior] = std::nan("");
+  std::vector<double> density = solver.electron_density();
+  const std::vector<double> before = density;
+  st::ContinuityResult result;
+  ASSERT_NO_THROW(result = st::solve_continuity(
+                      dev, subscale::physics::Carrier::kElectron, psi,
+                      solver.hole_density(), density));
+  EXPECT_EQ(result.status, st::SolveStatus::kDiverged);
+  EXPECT_EQ(density, before);
 }
